@@ -12,7 +12,6 @@ report the offending line), 2 guarantee-check failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import subprocess
 import sys
@@ -49,16 +48,6 @@ AUDITORS = {
     "naive-matching": NaiveMatchingAuditor,
     "priority-matching": PriorityMatchingAuditor,
 }
-
-
-@dataclasses.dataclass
-class RunConfig:
-    algorithm: str
-    instance: Instance
-    granularity: str = "step"  # step | round | final
-    assert_guarantees: bool = False
-    trace_out: str | None = None
-    report_out: str | None = None
 
 
 def make_algorithm(name: str):

@@ -7,10 +7,15 @@ Line 1 is the header::
 
 Each following line is one good, ``{"high": [bool, ...]}`` for 2-value
 instances or ``{"values": [real, ...]}`` for interval-restricted ones.
+
+The loader is strict at this boundary: flags must be JSON booleans, values
+and alphas finite JSON numbers, foresight a JSON integer; any other input
+raises `InstanceFormatError` naming the offending line (blank lines count).
 """
 from __future__ import annotations
 
 import json
+import math
 
 from .model import AgentProfile, Flavor, GoodEvent, Instance
 
@@ -22,58 +27,71 @@ class InstanceFormatError(ValueError):
 
 
 def _number(x, line, what):
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
-        raise InstanceFormatError(line, f"{what} must be a number, got {x!r}")
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or \
+            (isinstance(x, float) and not math.isfinite(x)):
+        raise InstanceFormatError(line, f"{what} must be a finite number, got {x!r}")
     return x
 
 
+def _good(obj, idx: int, line: int, flavor: Flavor) -> GoodEvent:
+    """Parse one good line strictly: a list of JSON booleans or of finite numbers."""
+    key = "high" if flavor is Flavor.TWO_VALUE else "values"
+    entries = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(entries, list):
+        raise InstanceFormatError(line, f"good {idx}: '{key}' must be a JSON list, got {entries!r}")
+    if flavor is Flavor.TWO_VALUE:
+        for b in entries:
+            if not isinstance(b, bool):
+                raise InstanceFormatError(line, f"good {idx}: high flags must be booleans, got {b!r}")
+        return GoodEvent(idx, high=entries)
+    return GoodEvent(idx, values=[_number(v, line, f"good {idx} value") for v in entries])
+
+
 def loads_instance(text: str) -> Instance:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise InstanceFormatError(1, "empty instance file")
+    head, text0 = lines[0]
     try:
-        header = json.loads(lines[0])
+        header = json.loads(text0)
     except json.JSONDecodeError as e:
-        raise InstanceFormatError(1, f"bad JSON header: {e}") from e
+        raise InstanceFormatError(head, f"bad JSON header: {e}") from e
     if not isinstance(header, dict) or "agents" not in header:
-        raise InstanceFormatError(1, "header must be an object with an 'agents' field")
+        raise InstanceFormatError(head, "header must be an object with an 'agents' field")
     try:
-        agents = [AgentProfile(_number(a["alpha"], 1, "alpha"), _number(a["beta"], 1, "beta"))
+        agents = [AgentProfile(_number(a["alpha"], head, "alpha"), _number(a["beta"], head, "beta"))
                   for a in header["agents"]]
+    except InstanceFormatError:
+        raise
     except (KeyError, TypeError, ValueError) as e:
-        raise InstanceFormatError(1, f"bad agent list: {e}") from e
+        raise InstanceFormatError(head, f"bad agent list: {e}") from e
     n = header.get("n", len(agents))
     if n != len(agents):
-        raise InstanceFormatError(1, f"header n={n} but {len(agents)} agents listed")
+        raise InstanceFormatError(head, f"header n={n} but {len(agents)} agents listed")
     try:
         flavor = Flavor(header.get("flavor", "two_value"))
     except ValueError as e:
-        raise InstanceFormatError(1, str(e)) from e
+        raise InstanceFormatError(head, str(e)) from e
     foresight = header.get("foresight", 0)
-    if not isinstance(foresight, int) or foresight < 0:
-        raise InstanceFormatError(1, f"bad foresight {foresight!r}")
+    if isinstance(foresight, bool) or not isinstance(foresight, int) or foresight < 0:
+        raise InstanceFormatError(head, f"bad foresight {foresight!r}")
+    try:
+        instance = Instance(agents=agents, goods=[], flavor=flavor, foresight=foresight)
+    except ValueError as e:
+        raise InstanceFormatError(head, str(e)) from e
 
-    goods = []
-    for lineno, ln in enumerate(lines[1:], 2):
+    for lineno, ln in lines[1:]:
         try:
             obj = json.loads(ln)
         except json.JSONDecodeError as e:
             raise InstanceFormatError(lineno, f"bad JSON: {e}") from e
-        idx = len(goods) + 1
+        good = _good(obj, instance.m + 1, lineno, flavor)
         try:
-            if flavor is Flavor.TWO_VALUE:
-                good = GoodEvent(idx, high=obj["high"])
-            else:
-                good = GoodEvent(idx, values=obj["values"])
-            if good.n != n:
-                raise ValueError(f"good {idx}: expected {n} entries, got {good.n}")
-        except (KeyError, TypeError, ValueError) as e:
+            instance.validate_good(good)
+        except ValueError as e:
             raise InstanceFormatError(lineno, str(e)) from e
-        goods.append(good)
-    try:
-        return Instance(agents=agents, goods=goods, flavor=flavor, foresight=foresight)
-    except ValueError as e:
-        raise InstanceFormatError(1, str(e)) from e
+        instance.goods.append(good)
+    return instance
 
 
 def dumps_instance(instance: Instance) -> str:

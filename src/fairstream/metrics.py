@@ -2,7 +2,18 @@
 
 Ratios are clamped to [0, 1] and computed exactly (as `Fraction`) whenever the
 underlying values are integers; float-valued instances fall back to float
-arithmetic with a 1e-9 relative tolerance on comparisons.
+arithmetic with a 1e-9 relative tolerance on comparisons.  A `Fraction` is
+built only for a ratio below 1; a ratio of at least 1 is the shared `_ONE`.
+
+Per-step reports use one identity: for a fixed agent i the numerator
+v_i(A_i) is the same against every other agent j, so
+
+    min_j min(1, v_i(A_i) / d_j) = min(1, v_i(A_i) / max_j d_j),
+
+where a denominator d <= 0 counts as ratio 1.  It holds on floats too,
+because correctly rounded division is monotone.  EF, EF1 and EF2 of agent i
+are therefore one ratio each, taken against the largest k = 0, 1, 2
+removable value over j.
 
 Two independent maximin-share oracles are provided:
 
@@ -32,12 +43,15 @@ def _is_exact(x) -> bool:
 
 
 def _ratio(num, den):
-    """min(1, num/den), exact when both operands are exact."""
+    """min(1, num/den), exact when both operands are exact.
+
+    The exact path compares first and builds one `Fraction` only for a
+    ratio below 1; a ratio of at least 1 is `_ONE`.
+    """
     if den <= 0:
         return _ONE if _is_exact(num) and _is_exact(den) else 1.0
     if _is_exact(num) and _is_exact(den):
-        r = Fraction(num) / Fraction(den)
-        return r if r < 1 else _ONE
+        return Fraction(num, den) if num < den else _ONE
     return min(1.0, num / den)
 
 
@@ -238,8 +252,8 @@ def mms_two_value(h: int, l: int, alpha, beta, n: int):
     return _mms_two_value_cached(h, l, alpha, beta, n)
 
 
-def mms_report(state: AllocationState, instance: Instance, i: int):
-    """(maximin share, clamped ratio) of agent i over the goods seen so far.
+def mms_share(state: AllocationState, instance: Instance, i: int):
+    """Maximin share of agent i over the goods seen so far, or None.
 
     2-value instances use the exact two-value solver on (highs seen, lows
     seen).  Interval instances use the exhaustive oracle while t <= 12 and
@@ -248,14 +262,19 @@ def mms_report(state: AllocationState, instance: Instance, i: int):
     """
     if instance.flavor.value == "two_value":
         h = state.high_seen[i - 1]
-        mu = mms_two_value(h, state.t - h, instance.agents[i - 1].alpha,
-                           instance.agents[i - 1].beta, state.n)
-    else:
-        if state.t > MMS_EXHAUSTIVE_MAX_GOODS:
-            return None
-        prof = state.profile(i)
-        mu = mms_exhaustive([value(prof, g, i) for g in state.goods_seen], state.n)
-    return mu, _ratio(state.own_value(i), mu)
+        return mms_two_value(h, state.t - h, instance.agents[i - 1].alpha,
+                             instance.agents[i - 1].beta, state.n)
+    if state.t > MMS_EXHAUSTIVE_MAX_GOODS:
+        return None
+    prof = state.profile(i)
+    return mms_exhaustive([value(prof, g, i) for g in state.goods_seen], state.n)
+
+
+def mms_report(state: AllocationState, instance: Instance, i: int):
+    """(maximin share, clamped ratio) of agent i over the goods seen so far,
+    or None where `mms_share` is unavailable."""
+    mu = mms_share(state, instance, i)
+    return None if mu is None else (mu, _ratio(state.own_value(i), mu))
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +296,6 @@ class EnvyGraph:
 
     n: int
     edges: dict = field(default_factory=dict)  # (i, j) -> v_i(A_j) - v_i(A_i)
-
-    def out_degree(self, i: int) -> int:
-        return sum(1 for (a, _) in self.edges if a == i)
-
-    def successors(self, i: int):
-        return [b for (a, b) in self.edges if a == i]
 
 
 def build_envy_graph(state: AllocationState, instance: Instance) -> EnvyGraph:
@@ -457,30 +470,55 @@ class ReportBuilder:
         self._state.assign(good, agent)
 
     def report(self) -> FairnessReport:
+        """Every agent's ratios after the goods observed so far.
+
+        For agent i the numerator v_i(A_i) is the same against every j, so
+        min_j min(1, v_i(A_i)/d_j) = min(1, v_i(A_i)/max_j d_j), where a
+        denominator d <= 0 counts as ratio 1 (on floats too, since rounded
+        division is monotone).  One pass over j finds the largest k = 0, 1, 2
+        removable value and counts the j that i envies; EF, EF1 and EF2 are
+        then one `_ratio` each, and a `Fraction` is built only for a reported
+        ratio below 1.  With n = 1 they are `_ONE` (nothing to envy).
+        """
         n = self.instance.n
         tr = self.tracker
+        removable = tr.removable_value
         ef, ef1, ef2, prop, mmsv, mmsr, deg = [], [], [], [], [], [], []
-        graph = tr.envy_graph()
         for i in range(1, n + 1):
-            mine = tr.val[i][i]
-            ratios = {0: [], 1: [], 2: []}
+            row = tr.val[i]
+            mine = row[i]
+            d0 = d1 = d2 = 0
+            envied = 0
             for j in range(1, n + 1):
-                if i == j:
+                if j == i:
                     continue
-                for k in (0, 1, 2):
-                    ratios[k].append(_ratio(mine, tr.removable_value(i, j, k)))
-            ef.append(min(ratios[0], default=_ONE))
-            ef1.append(min(ratios[1], default=_ONE))
-            ef2.append(min(ratios[2], default=_ONE))
-            prop.append(_ratio(n * mine, tr.seen_total[i]))
-            rep = mms_report(self._state, self.instance, i)
-            if rep is None:
-                mmsv.append(None)
-                mmsr.append(None)
+                theirs = row[j]
+                if theirs > mine and _gt(theirs, mine):  # _gt implies >
+                    envied += 1
+                # removing goods never raises a value, so theirs bounds d1, d2
+                if theirs > d0:
+                    d0 = theirs
+                if theirs > d1:
+                    r = removable(i, j, 1)
+                    if r > d1:
+                        d1 = r
+                if theirs > d2:
+                    r = removable(i, j, 2)
+                    if r > d2:
+                        d2 = r
+            if n > 1:
+                ef.append(_ratio(mine, d0))
+                ef1.append(_ratio(mine, d1))
+                ef2.append(_ratio(mine, d2))
             else:
-                mmsv.append(rep[0])
-                mmsr.append(rep[1])
-            deg.append(graph.out_degree(i))
+                ef.append(_ONE)
+                ef1.append(_ONE)
+                ef2.append(_ONE)
+            prop.append(_ratio(n * mine, tr.seen_total[i]))
+            mu = mms_share(self._state, self.instance, i)
+            mmsv.append(mu)
+            mmsr.append(None if mu is None else _ratio(mine, mu))
+            deg.append(envied)
         return FairnessReport(tr.t, ef, ef1, ef2, prop, mmsv, mmsr, deg)
 
 

@@ -63,6 +63,32 @@ def test_malformed_instance_reports_line(tmp_path, capsys):
     assert "line 3" in err
 
 
+_TWO_VALUE_HEADER = ('{"n":2,"agents":[{"alpha":5,"beta":1},{"alpha":5,"beta":1}],'
+                     '"flavor":"two_value","foresight":0}')
+_INTERVAL_HEADER = ('{"n":2,"agents":[{"alpha":4.0,"beta":1.0},{"alpha":4.0,"beta":1.0}],'
+                    '"flavor":"interval","foresight":0}')
+
+
+@pytest.mark.parametrize("header, goods, line", [
+    (_TWO_VALUE_HEADER, ['{"high":[true,false]}', '{"high":["false","false"]}'], 3),
+    (_TWO_VALUE_HEADER, ['{"high":"tt"}'], 2),
+    (_TWO_VALUE_HEADER, ['{"high":[1,0]}'], 2),
+    (_INTERVAL_HEADER, ['{"values":["3",2]}'], 2),
+    (_INTERVAL_HEADER, ['{"values":[true,2]}'], 2),
+    (_INTERVAL_HEADER, ['{"values":[2,2]}', '{"values":[2,9]}'], 3),
+    (_INTERVAL_HEADER, ['{"values":[NaN,2]}'], 2),
+    (_TWO_VALUE_HEADER.replace('"foresight":0', '"foresight":true'), [], 1),
+    (_TWO_VALUE_HEADER, ['{"high":[true,false]}', '', '{"high":[true]}'], 4),
+], ids=["high-strings", "high-string", "high-ints", "value-string", "value-bool",
+        "interval-range-line", "value-nan", "foresight-bool", "blank-line-counted"])
+def test_bad_instance_input_exits_one_with_line(tmp_path, capsys, header, goods, line):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([header, *goods]) + "\n")
+    assert run_cli("run", "--alg", "round-robin", "--instance", str(bad)) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"malformed instance: line {line}:" in err
+
+
 def test_adversary_command_emits_replayable_stream(tmp_path, capsys):
     out = tmp_path / "adv.jsonl"
     code = run_cli("adversary", "--kind", "mms", "--alg", "deferred-priority",

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairstream.metrics import (CycleError, EnvyGraph, PairwiseTracker, ReportBuilder,
-                                build_envy_graph, efk_ratio, efk_ratio_all,
+                                _ratio, build_envy_graph, efk_ratio, efk_ratio_all,
                                 mms_exhaustive, mms_report, mms_two_value, prop_ratio,
                                 report_csv_rows, topo_sort)
 from fairstream.model import (AgentProfile, AllocationState, Flavor, GoodEvent,
@@ -169,20 +169,115 @@ def test_mms_monotone_in_bundle_count(h, l, pair, n):
     assert mms_two_value(h, l, alpha, beta, n + 1) <= mms_two_value(h, l, alpha, beta, n)
 
 
+float_pairs = st.sampled_from([(2.5, 1), (5, 1.5), (2.5, 2.5), (1.5, 0), (0.0, 0.0)])
+
+
 @st.composite
-def random_states(draw):
-    n = draw(st.integers(2, 4))
+def random_states(draw, wide=False, grid=True):
+    """A random allocation state and its instance.
+
+    By default: 2 to 4 agents with integer 2-value profiles.  With `wide`,
+    also n = 1, float profiles and interval instances (integer- or
+    float-valued).  Float values lie on a grid of quarters when `grid` is
+    set, so every sum is exact in binary and functions that add the same
+    values in different orders agree to the last bit; otherwise interval
+    values are arbitrary floats.
+    """
+    n = draw(st.integers(1 if wide else 2, 4))
     m = draw(st.integers(0, 8))
-    profiles = [draw(pairs) for _ in range(n)]
-    agents = [AgentProfile(a, b) for a, b in profiles]
-    goods = [GoodEvent(i, high=[draw(st.booleans()) for _ in range(n)])
-             for i in range(1, m + 1)]
+    if wide and draw(st.booleans()):
+        if draw(st.booleans()):
+            alphas = [draw(st.integers(1, 6)) for _ in range(n)]
+            entry = lambda a: st.integers(1, a)
+        else:
+            alphas = [draw(st.sampled_from([1.0, 3.5, 6.25])) for _ in range(n)]
+            entry = ((lambda a: st.integers(4, int(4 * a)).map(lambda q: q / 4)) if grid
+                     else (lambda a: st.floats(1.0, a)))
+        agents = [AgentProfile(a, 1) for a in alphas]
+        goods = [GoodEvent(i, values=[draw(entry(a)) for a in alphas])
+                 for i in range(1, m + 1)]
+        flavor = Flavor.INTERVAL
+    else:
+        pool = st.one_of(pairs, float_pairs) if wide else pairs
+        agents = [AgentProfile(*draw(pool)) for _ in range(n)]
+        goods = [GoodEvent(i, high=[draw(st.booleans()) for _ in range(n)])
+                 for i in range(1, m + 1)]
+        flavor = Flavor.TWO_VALUE
     owners = [draw(st.integers(1, n)) for _ in range(m)]
-    inst = Instance(agents=agents, goods=goods)
+    inst = Instance(agents=agents, goods=goods, flavor=flavor)
     state = AllocationState.fresh(inst)
     for g, o in zip(goods, owners):
         state.assign(g, o)
     return state, inst
+
+
+def _owners(state):
+    return [next(j + 1 for j in range(state.n) if g.index in state.bundles[j])
+            for g in state.goods_seen]
+
+
+def _integer_valued(inst):
+    nums = [x for a in inst.agents for x in (a.alpha, a.beta)]
+    nums += [v for g in inst.goods if g.values is not None for v in g.values]
+    return all(isinstance(x, int) for x in nums)
+
+
+def _same(got, want, exact):
+    """Equal and of the same type on integer-valued instances; equal as
+    floats elsewhere."""
+    if got is None or want is None:
+        return got is want
+    if exact:
+        return type(got) is type(want) and got == want
+    return float(got) == float(want)
+
+
+def _report_of(state, inst):
+    builder = ReportBuilder(inst)
+    for g, o in zip(state.goods_seen, _owners(state)):
+        builder.observe(g, o)
+    return builder.report(), builder.tracker
+
+
+@given(random_states(wide=True))
+@settings(max_examples=300, deadline=None)
+def test_report_matches_direct_metrics(data):
+    state, inst = data
+    exact = _integer_valued(inst)
+    rep, _ = _report_of(state, inst)
+    edges = build_envy_graph(state, inst).edges
+    assert rep.t == state.t
+    if state.n == 1:  # nothing to envy, on float instances too
+        assert all(type(x) is Fraction and x == 1 for x in rep.ef + rep.ef1 + rep.ef2)
+    for i in range(1, state.n + 1):
+        mms = mms_report(state, inst, i)
+        want = {
+            "ef": efk_ratio_all(state, inst, i, 0),
+            "ef1": efk_ratio_all(state, inst, i, 1),
+            "ef2": efk_ratio_all(state, inst, i, 2),
+            "prop": prop_ratio(state, inst, i),
+            "mms_value": None if mms is None else mms[0],
+            "mms_ratio": None if mms is None else mms[1],
+            "envy_out": sum(1 for (a, _) in edges if a == i),
+        }
+        for field, value in want.items():
+            got = getattr(rep, field)[i - 1]
+            assert _same(got, value, exact), (field, i, got, value)
+
+
+@given(random_states(wide=True, grid=False))
+@settings(max_examples=200, deadline=None)
+def test_report_efk_equals_per_pair_minimum(data):
+    """min over j of v_i(A_i)/d_j equals the ratio at the largest d_j, on
+    arbitrary floats too (rounded division is monotone)."""
+    state, inst = data
+    exact = _integer_valued(inst)
+    rep, tr = _report_of(state, inst)
+    for i in range(1, state.n + 1):
+        for k, got in enumerate((rep.ef[i - 1], rep.ef1[i - 1], rep.ef2[i - 1])):
+            want = min((_ratio(tr.val[i][i], tr.removable_value(i, j, k))
+                        for j in range(1, state.n + 1) if j != i), default=Fraction(1))
+            assert _same(got, want, exact), (i, k, got, want)
 
 
 @given(random_states())
@@ -224,16 +319,15 @@ def test_ratios_invariant_under_scaling_one_agent(data, c):
     assert mms_report(state, inst, 1)[1] == mms_report(state2, inst2, 1)[1]
 
 
-@given(random_states())
-@settings(max_examples=80, deadline=None)
+@given(random_states(wide=True))
+@settings(max_examples=120, deadline=None)
 def test_pairwise_tracker_matches_direct_metrics(data):
     from fairstream.metrics import removable_value
 
     state, inst = data
     tracker = PairwiseTracker(inst)
     replay = AllocationState.fresh(inst)
-    for g in state.goods_seen:
-        owner = next(j + 1 for j in range(state.n) if g.index in state.bundles[j])
+    for g, owner in zip(state.goods_seen, _owners(state)):
         tracker.observe(g, owner)
         replay.assign(g, owner)
     for i in range(1, state.n + 1):

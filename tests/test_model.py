@@ -1,3 +1,6 @@
+import json
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +9,7 @@ from fairstream.baselines import GreedyWelfare, RoundRobin
 from fairstream.deferred_priority import DeferredPriority
 from fairstream.driver import run_online, trace_csv_rows
 from fairstream.generators import random_two_value
-from fairstream.jsonl import dumps_instance, loads_instance
+from fairstream.jsonl import InstanceFormatError, dumps_instance, loads_instance
 from fairstream.matching import NaiveMatching, PriorityMatching
 from fairstream.model import (AgentProfile, AgentType, AllocationState, Flavor,
                               GoodEvent, Instance, OnlineAlgorithm, bundle_value,
@@ -121,6 +124,44 @@ def test_jsonl_roundtrip_and_bytes():
     again = loads_instance(text)
     assert again == inst
     assert dumps_instance(again) == text
+
+
+_json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-2, 9), st.floats(),
+                          st.text(max_size=3))
+_json = st.recursive(_json_scalars, lambda inner: st.lists(inner, max_size=3) |
+                     st.dictionaries(st.sampled_from(["high", "values"]), inner, max_size=2),
+                     max_leaves=6)
+
+
+@st.composite
+def _instance_texts(draw):
+    n = draw(st.integers(1, 3))
+    flavor = draw(st.sampled_from(["two_value", "interval"]))
+    header = {"n": n, "agents": [{"alpha": draw(st.sampled_from([1, 4, 4.5, 1e400])),
+                                  "beta": 1} for _ in range(n)],
+              "flavor": flavor, "foresight": draw(st.one_of(st.integers(0, 2), _json_scalars))}
+    entry = st.one_of(st.booleans(), st.integers(0, 6), st.floats(0.5, 5.0), _json)
+    goods = draw(st.lists(st.one_of(
+        _json,
+        st.fixed_dictionaries({"high": st.lists(entry, min_size=n, max_size=n)}),
+        st.fixed_dictionaries({"values": st.lists(entry, min_size=n, max_size=n)})),
+        max_size=4))
+    return "\n".join(json.dumps(x) for x in [header, *goods])
+
+
+@given(_instance_texts())
+@settings(max_examples=200, deadline=None)
+def test_loads_instance_yields_instance_or_format_error(text):
+    try:
+        inst = loads_instance(text)
+    except InstanceFormatError:
+        return
+    assert isinstance(inst.foresight, int) and not isinstance(inst.foresight, bool)
+    for g in inst.goods:
+        inst.validate_good(g)
+        entries = g.high if inst.flavor is Flavor.TWO_VALUE else g.values
+        assert all(isinstance(e, bool) if inst.flavor is Flavor.TWO_VALUE
+                   else not isinstance(e, bool) and math.isfinite(e) for e in entries)
 
 
 ALL_ALGS = [DeferredPriority, RoundRobin, GreedyWelfare, NaiveMatching, PriorityMatching]
