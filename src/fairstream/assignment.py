@@ -1,11 +1,22 @@
-"""Deterministic maximum-weight assignment with exact arithmetic.
+"""Deterministic assignment solvers with exact arithmetic.
 
-Weights are ints or Fractions; no floats enter the optimization.  Among all
-maximum-weight assignments the solver returns the one whose per-agent good
-vector (good index matched to agent 1, agent 2, ...) is lexicographically
-smallest, with unmatched agents sorting last.  Small problems are solved by
-exhaustive permutation search; larger ones by an exact Hungarian method plus
-a fix-one-agent-at-a-time lexicographic refinement.
+Two solvers serve the priority-matching rule (`matching.plan_round`):
+
+* `priority_assignment` solves a *full* round (as many goods as agents)
+  from its structure: a greedy pass over the agents in rank order picks who
+  gets a high-valued good, and unweighted augmenting and alternating paths
+  build and then lexicographically minimise the matching.  No weight is
+  ever formed.
+
+* `max_weight_assignment` solves a *partial* final round (fewer goods than
+  agents) from explicit int or Fraction weights; no floats enter the
+  optimization.  Small problems are solved by exhaustive permutation
+  search; larger ones by an exact Hungarian method plus a
+  fix-one-agent-at-a-time lexicographic refinement.
+
+Both return, among all maximum-weight assignments, the one whose per-agent
+good vector (good index matched to agent 1, agent 2, ...) is
+lexicographically smallest, with unmatched agents sorting last.
 """
 from __future__ import annotations
 
@@ -143,3 +154,125 @@ def _lexicographic_hungarian(weights, n_agents, n_goods):
             cols.remove(fixed)
         rows.remove(a)
     return assign
+
+
+def priority_assignment(high, order):
+    """Lexicographically smallest maximum-weight perfect matching of a full
+    priority round.
+
+    `high[a]` is the bitmask of the goods (columns 0..n-1) that agent `a`
+    (row 0..n-1) values high, and `order` lists the agents from the largest
+    rank factor to the smallest.  Agent a weighs a good at f_a when it sees
+    it low and 2*f_a when it sees it high, with f strictly decreasing along
+    `order`.  Returns the per-agent list of good columns, as
+    `max_weight_assignment` does on those weights.
+
+    Why no weights are needed: every agent receives exactly one good, so a
+    perfect matching M weighs sum_a f_a + sum_{a in H(M)} f_a, where H(M) is
+    the set of agents M gives a good they see high.  H(M) is matchable into
+    high goods, and any such matchable set H extends to a perfect matching
+    whose high set contains H; so the optimum is the maximum-weight
+    independent set of the transversal matroid on the agents' high edges,
+    under weights f.  Greedy in decreasing weight -- keep an agent iff an
+    augmenting path still matches every kept agent to a high good -- finds
+    it (Edmonds 1971; Rado), and because the f_a are distinct that set H* is
+    unique.  The maximum-weight matchings are therefore exactly the perfect
+    matchings in which agents of H* take goods they see high and all others
+    goods they see low.  One such matching is completed by augmenting paths;
+    then agents are fixed in index order, each moved to the smallest good an
+    alternating cycle through the agents not yet fixed can free for it.
+    """
+    n = len(high)
+    full = (1 << n) - 1
+    owner = [-1] * n  # good -> agent
+    free = [full]     # goods no agent holds yet
+    kept = [_augment(high, owner, free, a, [0]) for a in order]
+    allowed = [0] * n
+    for a, k in zip(order, kept):
+        allowed[a] = high[a] if k else full & ~high[a]
+    for a, k in zip(order, kept):
+        if not k and not _augment(allowed, owner, free, a, [0]):
+            raise RuntimeError("priority round has no perfect matching")
+    match = [0] * n
+    for g, a in enumerate(owner):
+        match[a] = g
+    for a in range(n - 1):
+        cur = match[a]
+        path = _freeing_path(allowed, owner, a, cur)
+        if path is None:
+            continue
+        # path: goods c, r1, ..., cur; a takes c, each holder takes the next
+        take = a
+        for g in path:
+            prev = owner[g]
+            owner[g] = take
+            match[take] = g
+            take = prev
+    return match
+
+
+def _freeing_path(allowed, owner, a, cur):
+    """The smallest good below `cur` that agent `a` may take and that an
+    alternating path through agents a+1.. can free, as the list of goods
+    (that good, ..., cur) along the path; None if there is none.
+
+    Candidates are searched in increasing order from one shared `seen` set:
+    a good explored from a smaller candidate without reaching `cur` cannot
+    reach it from a larger one either.
+    """
+    smaller = allowed[a] & ((1 << cur) - 1)
+    target = 1 << cur
+    seen = 0
+    parent = {}
+    while smaller:
+        low = smaller & -smaller
+        smaller ^= low
+        if seen & low:
+            continue
+        seen |= low
+        queue = [low.bit_length() - 1]
+        for r in queue:
+            b = owner[r]
+            if b <= a:  # fixed agents keep their goods
+                continue
+            nxt = allowed[b] & ~seen
+            if nxt & target:
+                path = [cur]
+                while r != queue[0]:
+                    path.append(r)
+                    r = parent[r]
+                path.append(r)
+                path.reverse()
+                return path
+            seen |= nxt
+            while nxt:
+                bit = nxt & -nxt
+                nxt ^= bit
+                g = bit.bit_length() - 1
+                parent[g] = r
+                queue.append(g)
+    return None
+
+
+def _augment(adj, owner, free, a, seen):
+    """Match agent `a` within the bitmask rows `adj` by an augmenting path
+    (Kuhn), re-matching the holders along it and taking an unheld good as
+    soon as one is in reach.  `free[0]` masks the unheld goods and `seen[0]`
+    the held goods already tried in this search.  Returns False, changing
+    nothing, if no path exists."""
+    avail = adj[a] & free[0]
+    if avail:
+        low = avail & -avail
+        free[0] ^= low
+        owner[low.bit_length() - 1] = a
+        return True
+    cand = adj[a] & ~seen[0]
+    while cand:
+        low = cand & -cand
+        seen[0] |= low
+        g = low.bit_length() - 1
+        if _augment(adj, owner, free, owner[g], seen):
+            owner[g] = a
+            return True
+        cand = adj[a] & ~seen[0]
+    return False

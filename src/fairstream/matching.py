@@ -16,13 +16,18 @@ Two rules live here:
   envy graph stays acyclic at round boundaries with per-edge envy at most
   alpha_i - beta_i, and the allocation is envy-free-up-to-1 at every multiple
   of n and envy-free-up-to-2 always.
+
+  A full round (n goods) is solved from its structure by
+  `assignment.priority_assignment`, without forming a weight; only a partial
+  final round (fewer goods than agents) builds `aux_weight_matrix` and goes
+  through `assignment.max_weight_assignment`.  Both return the same,
+  lexicographically smallest maximum-weight matching.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .assignment import max_weight_assignment
+from .assignment import max_weight_assignment, priority_assignment
 from .metrics import (CycleError, PairwiseTracker, build_envy_graph, mms_two_value,
                       topo_sort, _is_exact, REL_TOL)
 from .model import AllocationState, Flavor, GoodEvent, Instance, OnlineAlgorithm, sees_high
@@ -158,20 +163,13 @@ class RoundPlan:
 
 
 def aux_weight_matrix(pi, agents, goods):
-    """Exact rational auxiliary weights: the rank-i agent weighs a good at
-    2*((2n+1)/(2n))^(n-i) when high-valued for it, half that otherwise."""
-    n = len(agents)
-    base = Fraction(2 * n + 1, 2 * n)
-    rows = []
-    for a in range(1, n + 1):
-        factor = base ** (n - pi[a - 1])
-        rows.append([2 * factor if sees_high(agents[a - 1], g, a) else factor
-                     for g in goods])
-    return rows
+    """Auxiliary weights of one round, scaled by (2n)^(n-1) to integers.
 
-
-def _scaled_weight_rows(pi, agents, goods):
-    """Integer-scaled equivalents of the rational weights (same optima)."""
+    The rank-i agent weighs a good at 2*((2n+1)/(2n))^(n-i) when it sees it
+    high and half that otherwise; times (2n)^(n-1) that is the rank factor
+    f_i = (2n+1)^(n-i) * (2n)^(i-1), doubled on high goods.  Row a-1 is agent
+    a, column c is goods[c]; scaling keeps every optimum and tie.
+    """
     n = len(agents)
     rows = []
     for a in range(1, n + 1):
@@ -183,13 +181,29 @@ def _scaled_weight_rows(pi, agents, goods):
 
 
 def plan_round(graph, agents, goods, round_index: int) -> RoundPlan:
-    """Topologically sort the envy graph, weight, and match one round of goods."""
+    """Topologically sort the envy graph and match one round of goods.
+
+    A full round (one good per agent) is solved from its structure by
+    `priority_assignment`; a partial final round by `max_weight_assignment`
+    on `aux_weight_matrix`.  Both give the lexicographically smallest
+    maximum-weight matching.
+    """
     try:
         pi = topo_sort(graph)
     except CycleError as e:
         raise RuntimeError(f"cyclic envy graph at a round boundary: {e.cycle}") from e
-    weights = _scaled_weight_rows(pi, agents, goods)
-    cols = max_weight_assignment(weights, len(goods))
+    n = len(agents)
+    if len(goods) == n:
+        high = []
+        for a, prof in enumerate(agents, 1):
+            mask = 0
+            for c, g in enumerate(goods):
+                if sees_high(prof, g, a):
+                    mask |= 1 << c
+            high.append(mask)
+        cols = priority_assignment(high, sorted(range(n), key=pi.__getitem__))
+    else:
+        cols = max_weight_assignment(aux_weight_matrix(pi, agents, goods), len(goods))
     assignment = {}
     for a, col in enumerate(cols, 1):
         if col is not None:
@@ -397,19 +411,15 @@ class PriorityMatchingAuditor:
             self._exchange_checks(graph, t)
 
     def _exchange_checks(self, graph, t):
-        agents = self.instance.agents
-        pi = self._round_pi
-        n = self.n
+        recipients = sorted(self._round_recipient)
+        col = {a: c for c, a in enumerate(recipients)}
+        w = aux_weight_matrix(self._round_pi, self.instance.agents,
+                              [self._round_recipient[a] for a in recipients])
         for (i, j) in graph.edges:
-            gi = self._round_recipient.get(i)
-            gj = self._round_recipient.get(j)
-            if gi is None or gj is None:
+            if i not in col or j not in col:
                 continue
-            def w(a, g):
-                rank = pi[a - 1]
-                base = (2 * n + 1) ** (n - rank) * (2 * n) ** (rank - 1)
-                return 2 * base if sees_high(agents[a - 1], g, a) else base
-            if w(i, gj) + w(j, gi) > w(i, gi) + w(j, gj):
+            gi, gj = col[i], col[j]
+            if w[i - 1][gj] + w[j - 1][gi] > w[i - 1][gi] + w[j - 1][gj]:
                 self.violations.append(
                     Violation("exchange", t, f"swapping goods of {i},{j} gains weight"))
 

@@ -229,7 +229,12 @@ def _mms_two_value_fast(h, l, alpha, beta, n):
     return lo
 
 
-@lru_cache(maxsize=None)
+# Distinct (h, l, alpha, beta, n) arguments kept; one n = 16, m = 1000 run with
+# per-step reports needs about 12,400, so long-lived processes stay bounded.
+MMS_CACHE_SIZE = 2 ** 16
+
+
+@lru_cache(maxsize=MMS_CACHE_SIZE)
 def _mms_two_value_cached(h, l, alpha, beta, n):
     if alpha == 0:
         return 0

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -62,3 +63,57 @@ def test_large_instance_matches_brute_force():
     result = max_weight_assignment(w)
     assert sorted(result) == list(range(n))
     assert result == _exhaustive(w, n, n)
+
+
+# ---------------------------------------------------------------------------
+# full priority rounds: the structural solver against the weighted solvers
+# ---------------------------------------------------------------------------
+
+def priority_weights(high, pi):
+    """The rule's integer weights for masks `high` and ranks `pi` (agent a,
+    0-based, has rank pi[a])."""
+    from fairstream.matching import aux_weight_matrix
+    from fairstream.model import AgentProfile, GoodEvent
+
+    n = len(high)
+    agents = [AgentProfile(2, 1)] * n
+    goods = [GoodEvent(c + 1, high=[bool(high[a] >> c & 1) for a in range(n)])
+             for c in range(n)]
+    return aux_weight_matrix(pi, agents, goods)
+
+
+def rank_order(pi):
+    return sorted(range(len(pi)), key=pi.__getitem__)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_priority_assignment_matches_exhaustive_on_every_mask(n):
+    from itertools import product
+
+    from fairstream.assignment import _exhaustive, priority_assignment
+
+    for pi in permutations(range(1, n + 1)):
+        for bits in product((0, 1), repeat=n * n):
+            high = [sum(bits[a * n + c] << c for c in range(n)) for a in range(n)]
+            expected = _exhaustive(priority_weights(high, pi), n, n)
+            assert priority_assignment(high, rank_order(pi)) == expected, (high, pi)
+
+
+def test_priority_assignment_matches_weighted_solver_on_random_masks():
+    import random
+
+    from fairstream.assignment import priority_assignment
+
+    rng = random.Random(20)
+    for case in range(240):
+        n = 4 + case % 9  # 4..12, both sides of the exhaustive limit
+        density = (0.0, 0.15, 0.5, 0.85, 1.0)[case % 5]
+        full = (1 << n) - 1
+        high = [sum(1 << c for c in range(n) if rng.random() < density)
+                for _ in range(n)]
+        for a in rng.sample(range(n), case % 3):
+            high[a] = full  # agents who see every good high
+        pi = list(range(1, n + 1))
+        rng.shuffle(pi)
+        expected = max_weight_assignment(priority_weights(high, pi))
+        assert priority_assignment(high, rank_order(pi)) == expected, (high, pi)

@@ -123,6 +123,13 @@ def test_naive_rejects_bad_config():
 # priority matching
 # ---------------------------------------------------------------------------
 
+def paper_weights(pi, agents, goods):
+    """The paper's rational weights: the integer ones over (2n)^(n-1)."""
+    scale = (2 * len(agents)) ** (len(agents) - 1)
+    return [[Fraction(w, scale) for w in row]
+            for row in aux_weight_matrix(pi, agents, goods)]
+
+
 def test_round_plan_documented_example():
     inst = Instance(agents=[AgentProfile(5, 1), AgentProfile(3, 1)],
                     goods=[GoodEvent(1, high=[True, False]),
@@ -132,7 +139,7 @@ def test_round_plan_documented_example():
     plan = priority_round_plan(state, inst, inst.goods)
     assert plan.pi == (1, 2)
     assert plan.assignment == {1: 1, 2: 2}
-    W = aux_weight_matrix(plan.pi, inst.agents, inst.goods)
+    W = paper_weights(plan.pi, inst.agents, inst.goods)
     assert W[0] == [Fraction(5, 2), Fraction(5, 4)]
     assert W[1] == [Fraction(1), Fraction(2)]
 
@@ -140,7 +147,7 @@ def test_round_plan_documented_example():
 def test_reversed_ordering_changes_exponents():
     agents = [AgentProfile(5, 1), AgentProfile(3, 1)]
     goods = [GoodEvent(1, high=[True, True])]
-    W = aux_weight_matrix((2, 1), agents, goods)
+    W = paper_weights((2, 1), agents, goods)
     # agent 2 is first in the ordering, so its weights carry the n-1 exponent
     assert W[1][0] == 2 * Fraction(5, 4)
     assert W[0][0] == 2 * Fraction(1)

@@ -97,6 +97,24 @@ def test_mms_two_value_examples():
         mms_two_value(1, 1, 1, 2, 2)
 
 
+def test_mms_cache_is_bounded_and_recomputes_after_clear():
+    from fairstream.metrics import MMS_CACHE_SIZE, _mms_two_value_cached
+
+    assert _mms_two_value_cached.cache_info().maxsize == MMS_CACHE_SIZE
+    cases = [(h, l, alpha, beta, n) for h in range(6) for l in range(6)
+             for alpha, beta in ((5, 1), (3, 2), (2.5, 1.0), (4, 0), (0, 0))
+             for n in (1, 2, 3)]
+    before = [mms_two_value(*c) for c in cases]
+    _mms_two_value_cached.cache_clear()
+    for h in range(MMS_CACHE_SIZE + 100):
+        mms_two_value(h, 0, 1, 0, 1)
+    assert _mms_two_value_cached.cache_info().currsize == MMS_CACHE_SIZE
+    assert [mms_two_value(*c) for c in cases] == before
+    assert [mms_two_value(h, l, a, b, n) for h, l, a, b, n in cases if h + l <= 12] == \
+        [mms_exhaustive([a] * h + [b] * l, n) for h, l, a, b, n in cases if h + l <= 12]
+    _mms_two_value_cached.cache_clear()
+
+
 def test_mms_two_value_concentration_beats_balance():
     # with beta=3 the best split packs both highs together
     assert mms_two_value(2, 3, 5, 3, 2) == 9
