@@ -1,11 +1,15 @@
+import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairstream.assignment import (_lexicographic_hungarian, max_weight_assignment)
+from fairstream.assignment import (_exhaustive, _lexicographic_hungarian,
+                                   max_weight_assignment, priority_assignment)
+from fairstream.matching import aux_weight_matrix
+from fairstream.model import AgentProfile, GoodEvent
 
 
 def test_simple_square():
@@ -72,9 +76,6 @@ def test_large_instance_matches_brute_force():
 def priority_weights(high, pi):
     """The rule's integer weights for masks `high` and ranks `pi` (agent a,
     0-based, has rank pi[a])."""
-    from fairstream.matching import aux_weight_matrix
-    from fairstream.model import AgentProfile, GoodEvent
-
     n = len(high)
     agents = [AgentProfile(2, 1)] * n
     goods = [GoodEvent(c + 1, high=[bool(high[a] >> c & 1) for a in range(n)])
@@ -88,10 +89,6 @@ def rank_order(pi):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_priority_assignment_matches_exhaustive_on_every_mask(n):
-    from itertools import product
-
-    from fairstream.assignment import _exhaustive, priority_assignment
-
     for pi in permutations(range(1, n + 1)):
         for bits in product((0, 1), repeat=n * n):
             high = [sum(bits[a * n + c] << c for c in range(n)) for a in range(n)]
@@ -100,10 +97,6 @@ def test_priority_assignment_matches_exhaustive_on_every_mask(n):
 
 
 def test_priority_assignment_matches_weighted_solver_on_random_masks():
-    import random
-
-    from fairstream.assignment import priority_assignment
-
     rng = random.Random(20)
     for case in range(240):
         n = 4 + case % 9  # 4..12, both sides of the exhaustive limit
