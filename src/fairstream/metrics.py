@@ -350,7 +350,16 @@ def topo_sort(g: EnvyGraph):
 
 
 def _find_cycle(succ, remaining):
+    """One cycle among the vertices Kahn's pass left unsorted.
+
+    Some of them are only fed by a cycle and lead nowhere; they are pruned
+    first, so the walk from the smallest survivor never dead-ends.
+    """
     rem = set(remaining)
+    dead = [v for v in rem if not any(w in rem for w in succ[v])]
+    while dead:
+        rem.difference_update(dead)
+        dead = [v for v in rem if not any(w in rem for w in succ[v])]
     start = min(rem)
     path, seen = [start], {start}
     while True:

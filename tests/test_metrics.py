@@ -151,6 +151,17 @@ def test_topo_sort_determinism_and_cycles():
     assert sorted(exc.value.cycle) == [1, 2]
 
 
+@pytest.mark.parametrize("n, edges, cycle", [
+    (3, [(2, 3), (3, 2), (2, 1)], [2, 3]),                   # 1 is only fed by the cycle
+    (5, [(4, 5), (5, 4), (4, 2), (2, 1), (3, 1)], [4, 5]),   # a chain hangs off it
+    (4, [(1, 2), (2, 3), (3, 2), (3, 4)], [2, 3]),
+])
+def test_topo_sort_cycle_witness_skips_vertices_fed_by_a_cycle(n, edges, cycle):
+    with pytest.raises(CycleError) as exc:
+        topo_sort(EnvyGraph(n, {e: 1 for e in edges}))
+    assert exc.value.cycle == cycle
+
+
 def test_report_builder_csv_schema():
     st_, inst = _state([(5, 1), (5, 1)], [], [])
     builder = ReportBuilder(inst)
