@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .model import (AgentProfile, AgentType, AllocationState, Flavor, GoodEvent,
                     Instance, OnlineAlgorithm, bundle_value, classify_agent,
                     sees_high, value)
-from .driver import Trace, run_online, trace_csv_rows
+from .driver import Trace, Violation, audit_trace, run_online, trace_csv_rows
 from .metrics import (CycleError, EnvyGraph, FairnessReport, ReportBuilder,
                       build_envy_graph, efk_ratio, mms_exhaustive, mms_report,
                       mms_two_value, prop_ratio, topo_sort)

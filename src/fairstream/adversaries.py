@@ -22,8 +22,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .driver import replay_states, run_online
 from .generators import lows_then_highs
-from .metrics import mms_two_value, removable_value
+from .metrics import mms_two_value
 from .model import (AgentProfile, AllocationState, Flavor, GoodEvent, Instance,
                     OnlineAlgorithm)
 
@@ -63,7 +64,7 @@ class _AdaptiveRun:
         self.n = self.instance.n
         alg.check_config(self.n, 0)
         alg.start(self.n, self.instance.agents, 0)
-        self.state = AllocationState.fresh(self.instance)
+        self.state = AllocationState(self.instance)
         self.choices = []
         self.reports = []
         self.witness = None
@@ -75,7 +76,6 @@ class _AdaptiveRun:
         if not 1 <= agent <= self.n:
             raise RuntimeError(f"{self.alg.name} returned invalid agent {agent!r}")
         self.state.assign(good, agent)
-        self.alg.observe(self.state, good, agent)
         self.choices.append(agent)
         ratios = self._ratios()
         self.reports.append(ratios)
@@ -88,22 +88,23 @@ class _AdaptiveRun:
 
     def _ratios(self):
         st = self.state
+        tr = st.pairwise()
         out = []
         for i in range(1, self.n + 1):
+            own = tr.val[i][i]
             if self.metric == "mms":
                 prof = st.profile(i)
                 h = st.high_seen[i - 1]
                 mu = mms_two_value(h, st.t - h, prof.alpha, prof.beta, self.n)
-                out.append(Fraction(1) if mu == 0 else min(Fraction(1),
-                                                           Fraction(st.own_value(i), mu)))
+                out.append(Fraction(1) if mu == 0 else min(Fraction(1), Fraction(own, mu)))
             else:
                 worst = Fraction(1)
                 for j in range(1, self.n + 1):
                     if j == i:
                         continue
-                    den = removable_value(st, i, j, 1)
+                    den = tr.removable_value(i, j, 1)
                     if den > 0:
-                        worst = min(worst, min(Fraction(1), Fraction(st.own_value(i), den)))
+                        worst = min(worst, min(Fraction(1), Fraction(own, den)))
                 out.append(worst)
         return tuple(out)
 
@@ -217,19 +218,15 @@ def mms_adversary(alg: OnlineAlgorithm, n: int) -> AdversaryTrace:
 def worst_step_share_ratio(alg: OnlineAlgorithm, instance: Instance) -> Fraction:
     """Run `alg` over a 2-value instance and return the minimum over steps and
     agents of the exact maximin-share ratio."""
-    from .driver import run_online
-
-    trace = run_online(alg, instance)
-    state = AllocationState.fresh(instance)
     worst = Fraction(1)
-    for step in trace.steps:
-        state.assign(instance.goods[step.t - 1], step.agent)
+    for state, _ in replay_states(run_online(alg, instance)):
+        own = state.pairwise().val
         for i in range(1, instance.n + 1):
             prof = instance.agents[i - 1]
             h = state.high_seen[i - 1]
             mu = mms_two_value(h, state.t - h, prof.alpha, prof.beta, instance.n)
             if mu > 0:
-                worst = min(worst, min(Fraction(1), Fraction(state.own_value(i), mu)))
+                worst = min(worst, min(Fraction(1), Fraction(own[i][i], mu)))
     return worst
 
 

@@ -23,8 +23,7 @@ from .adversaries import ef1_adversary, mms_adversary
 from .baselines import GreedyWelfare, RoundRobin
 from .deferred_priority import DeferredPriority, DeferredPriorityAuditor
 from .driver import run_online, trace_csv_rows
-from .generators import (DEFAULT_PROFILE_POOL, interval_random, lows_then_highs,
-                         random_two_value, staircase)
+from .generators import interval_random, lows_then_highs, random_two_value, staircase
 from .jsonl import InstanceFormatError, read_instance, write_instance
 from .matching import (NaiveMatching, NaiveMatchingAuditor, PriorityMatching,
                        PriorityMatchingAuditor)
@@ -111,12 +110,11 @@ def cmd_run(args) -> int:
 
     class _Reporter:
         def observe(self, state, good, agent, extras):
-            builder.observe(good, agent)
             t = state.t
             if args.granularity == "step" or \
                (args.granularity == "round" and t % n == 0) or \
                (args.granularity == "final" and t == inst.m):
-                reports.append(builder.report())
+                reports.append(builder.report(state))
 
     trace = run_online(alg, inst, auditors=auditors + [_Reporter()])
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .driver import Violation, audit_trace
 from .metrics import mms_two_value
 from .model import AgentType, AllocationState, GoodEvent, Instance, OnlineAlgorithm
 
@@ -130,14 +131,6 @@ class DeferredPriority(OnlineAlgorithm):
         ps = self.ps
         return {"phase": ps.phase, "H": tuple(ps.H), "L": tuple(ps.L),
                 "chi": tuple(ps.chi)}
-
-
-@dataclass
-class Violation:
-    check: str
-    t: int
-    agent: int | None
-    detail: str
 
 
 def _is_high_for(prof, good, i0: int) -> bool:
@@ -287,30 +280,23 @@ class DeferredPriorityAuditor:
         return self.violations
 
 
-def _audit_trace(trace, **kwargs):
-    from .driver import replay_states
-
-    aud = DeferredPriorityAuditor(trace.instance, **kwargs)
-    for state, step in replay_states(trace):
-        aud.observe(state, trace.instance.goods[step.t - 1], step.agent, step.extras)
-    return aud.finish()
-
-
 def check_structural_guarantees(trace):
     """Audit the one-of-first-n, high-frequency and overall-frequency parts
     plus the phase-length bounds over a full or prefix trace."""
-    return [v for v in _audit_trace(trace)
+    return [v for v in audit_trace(trace, DeferredPriorityAuditor(trace.instance))
             if v.check in ("one-of-first-n", "high-frequency", "first-high-by-n-seen",
                            "overall-frequency", "phase-length", "H-positive")]
 
 
 def check_level_set_condition(trace):
     """Audit the sorted-H level-set condition at every step end."""
-    return [v for v in _audit_trace(trace) if v.check == "level-sets"]
+    return [v for v in audit_trace(trace, DeferredPriorityAuditor(trace.instance))
+            if v.check == "level-sets"]
 
 
 def check_share_bounds(trace):
     """Audit the per-type maximin floors (1/2, 1/3, 1/(2n-1)) and the 1/4
     proportionality floor for high-holding two-value agents, exactly."""
-    return [v for v in _audit_trace(trace, share_bounds=True)
+    return [v for v in audit_trace(trace, DeferredPriorityAuditor(trace.instance,
+                                                                  share_bounds=True))
             if v.check.startswith(("mms-", "prop-"))]

@@ -1,15 +1,30 @@
 """Single-threaded run loop: feed a stream through an algorithm, record a trace.
 
 One run owns one algorithm instance and one allocation state; independent runs
-never share mutable state and may execute concurrently.
+never share mutable state and may execute concurrently.  The state is the
+run's one ledger: the rule, every auditor and the per-step report read the
+same `AllocationState` and its `pairwise()` tracker, and none of them keeps a
+copy of its own.  `audit_trace` replays a recorded trace through an auditor
+the same way, and every auditor reports `Violation` records.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import AllocationState, GoodEvent, Instance, OnlineAlgorithm
+from .model import AllocationState, Instance, OnlineAlgorithm
 
 TRACE_CORE_COLUMNS = ("t", "good", "allocated_to", "as_high")
+
+
+@dataclass
+class Violation:
+    """One failed guarantee check at step t; `agent` is None for a check that
+    is not about one agent."""
+
+    check: str
+    t: int
+    agent: int | None
+    detail: str
 
 
 @dataclass
@@ -35,13 +50,14 @@ def run_online(alg: OnlineAlgorithm, instance: Instance, auditors=()) -> Trace:
     """Run `alg` over the instance honoring its foresight contract.
 
     Auditors receive every completed step via `observe(state, good, agent,
-    extras)` and may accumulate violations; they never influence decisions.
+    extras)`, with the run's own state, and may accumulate violations; they
+    never influence decisions.
     """
     alg.check_config(instance.n, instance.foresight)
     if alg.requires_flags and instance.flavor.value != "two_value":
         raise ValueError(f"{alg.name} reads high/low flags; reduce the instance first")
     alg.start(instance.n, instance.agents, instance.foresight)
-    state = AllocationState.fresh(instance)
+    state = AllocationState(instance)
     steps = []
     goods = instance.goods
     ell = instance.foresight
@@ -53,7 +69,6 @@ def run_online(alg: OnlineAlgorithm, instance: Instance, auditors=()) -> Trace:
         before = state.high_received[agent - 1]
         state.assign(good, agent)
         as_high = state.high_received[agent - 1] > before
-        alg.observe(state, good, agent)
         extras = alg.snapshot()
         rec = StepRecord(state.t, good.index, agent, as_high, extras)
         steps.append(rec)
@@ -64,10 +79,17 @@ def run_online(alg: OnlineAlgorithm, instance: Instance, auditors=()) -> Trace:
 
 def replay_states(trace: Trace):
     """Yield (state, step) pairs with the state as of the *end* of each step."""
-    state = AllocationState.fresh(trace.instance)
+    state = AllocationState(trace.instance)
     for step in trace.steps:
         state.assign(trace.instance.goods[step.t - 1], step.agent)
         yield state, step
+
+
+def audit_trace(trace: Trace, auditor) -> list:
+    """Replay a recorded trace through `auditor`; return its violations."""
+    for state, step in replay_states(trace):
+        auditor.observe(state, trace.instance.goods[step.t - 1], step.agent, step.extras)
+    return auditor.finish()
 
 
 def _join(vec) -> str:

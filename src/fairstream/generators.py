@@ -70,11 +70,3 @@ def interval_random(n: int, m: int, seed: int, alphas=None,
              for t in range(1, m + 1)]
     return Instance(agents=agents, goods=goods, flavor=Flavor.INTERVAL,
                     foresight=foresight)
-
-
-GENERATORS = {
-    "random-2value": random_two_value,
-    "staircase": staircase,
-    "lows-then-highs": lows_then_highs,
-    "interval-random": interval_random,
-}

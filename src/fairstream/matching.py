@@ -28,9 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .assignment import max_weight_assignment, priority_assignment
-from .metrics import (CycleError, PairwiseTracker, build_envy_graph, mms_two_value,
-                      topo_sort, _is_exact, REL_TOL)
-from .model import AllocationState, Flavor, GoodEvent, Instance, OnlineAlgorithm, sees_high
+from .driver import Violation, audit_trace, replay_states
+from .metrics import CycleError, build_envy_graph, mms_two_value, topo_sort, _is_exact, REL_TOL
+from .model import AllocationState, GoodEvent, Instance, OnlineAlgorithm, sees_high
 
 # ---------------------------------------------------------------------------
 # the two-agent pattern table
@@ -232,19 +232,14 @@ class PriorityMatching(OnlineAlgorithm):
         self.n = n
         self.agents = list(agents)
         self.plan = None
-        self.tracker = PairwiseTracker(Instance(agents=list(agents), goods=[],
-                                                flavor=Flavor.TWO_VALUE))
 
     def choose(self, state, good, window):
         t = state.t + 1
         if (t - 1) % self.n == 0:
             goods = [good] + list(window[: self.n - 1])
-            self.plan = plan_round(self.tracker.envy_graph(), self.agents, goods,
+            self.plan = plan_round(state.pairwise().envy_graph(), self.agents, goods,
                                    (t - 1) // self.n + 1)
         return self.plan.agent_for(good.index)
-
-    def observe(self, state, good, agent):
-        self.tracker.observe(good, agent)
 
     def snapshot(self):
         plan = self.plan
@@ -252,27 +247,9 @@ class PriorityMatching(OnlineAlgorithm):
         return {"round": plan.round_index, "pi": plan.pi, "committed": committed}
 
 
-def priority_step(state: AllocationState, good: GoodEvent, window, plan: RoundPlan,
-                  instance: Instance):
-    """One step of priority matching from explicit state: returns (agent, plan),
-    recomputing the plan at round boundaries."""
-    if state.t % instance.n == 0:
-        plan = priority_round_plan(state, instance, [good] + list(window[: instance.n - 1]))
-    if plan is None:
-        raise RuntimeError("mid-round step without a plan")
-    return plan.agent_for(good.index), plan
-
-
 # ---------------------------------------------------------------------------
 # runtime verification
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class Violation:
-    check: str
-    t: int
-    detail: str
 
 
 class NaiveMatchingAuditor:
@@ -282,34 +259,32 @@ class NaiveMatchingAuditor:
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        self.tracker = PairwiseTracker(instance)
         self.violations = []
 
     def observe(self, state, good, agent, extras):
-        tr = self.tracker
-        tr.observe(good, agent)
-        t = tr.t
+        tr = state.pairwise()
+        t = state.t
         for i, j in ((1, 2), (2, 1)):
             if not tr.is_efk(i, j, 2):
-                self.violations.append(Violation("ef2", t, f"agent {i} vs {j}"))
+                self.violations.append(Violation("ef2", t, i, f"vs agent {j}"))
         if t % 2 == 0:
             if state.goods_received[0] != t // 2 or state.goods_received[1] != t // 2:
-                self.violations.append(Violation("balance", t, "unequal bundle sizes"))
+                self.violations.append(Violation("balance", t, None, "unequal bundle sizes"))
             for i, j in ((1, 2), (2, 1)):
                 if not tr.is_efk(i, j, 1):
-                    self.violations.append(Violation("ef1-even", t, f"agent {i} vs {j}"))
+                    self.violations.append(Violation("ef1-even", t, i, f"vs agent {j}"))
             ctr = extras.get("ctr")
             if ctr is not None:
                 favored = 2 if ctr == 0 else 1  # the agent that must not envy
                 other = 3 - favored
                 if tr.val[favored][favored] < tr.val[favored][other]:
                     self.violations.append(
-                        Violation("ctr-direction", t, f"agent {favored} envies"))
+                        Violation("ctr-direction", t, favored, f"envies agent {other}"))
                 prof = self.instance.agents[other - 1]
                 gap = tr.val[other][favored] - tr.val[other][other]
                 if gap > prof.alpha - prof.beta:
                     self.violations.append(
-                        Violation("ctr-envy-bound", t, f"envy {gap} exceeds alpha-beta"))
+                        Violation("ctr-envy-bound", t, other, f"envy {gap} exceeds alpha-beta"))
 
     def finish(self):
         return self.violations
@@ -317,12 +292,7 @@ class NaiveMatchingAuditor:
 
 def check_alternation_guarantees(trace):
     """Audit a naive-matching trace; returns violations."""
-    from .driver import replay_states
-
-    aud = NaiveMatchingAuditor(trace.instance)
-    for state, step in replay_states(trace):
-        aud.observe(state, trace.instance.goods[step.t - 1], step.agent, step.extras)
-    return aud.finish()
+    return audit_trace(trace, NaiveMatchingAuditor(trace.instance))
 
 
 class PriorityMatchingAuditor:
@@ -340,7 +310,6 @@ class PriorityMatchingAuditor:
     def __init__(self, instance: Instance, exchange=False):
         self.instance = instance
         self.n = instance.n
-        self.tracker = PairwiseTracker(instance)
         self.violations = []
         self.half_ef1_failures = []
         self.recovery_deadline = None
@@ -349,10 +318,9 @@ class PriorityMatchingAuditor:
         self._round_recipient = {}  # agent -> good received this round
 
     def observe(self, state, good, agent, extras):
-        tr = self.tracker
+        tr = state.pairwise()
         n = self.n
-        tr.observe(good, agent)
-        t = tr.t
+        t = state.t
         if (t - 1) % n == 0:
             self._round_pi = extras.get("pi")
             self._round_recipient = {}
@@ -364,7 +332,7 @@ class PriorityMatchingAuditor:
                 if i == j:
                     continue
                 if not tr.is_efk(i, j, 2):
-                    self.violations.append(Violation("ef2", t, f"agent {i} vs {j}"))
+                    self.violations.append(Violation("ef2", t, i, f"vs agent {j}"))
                 if not tr.is_efk(i, j, 1, 1, 2):
                     half_ok = False
         if not half_ok:
@@ -373,26 +341,26 @@ class PriorityMatchingAuditor:
                 self.recovery_deadline = -(-t // n) * n
             elif t >= self.recovery_deadline:
                 self.violations.append(
-                    Violation("half-ef1-recovery", t, "failed after recovery deadline"))
+                    Violation("half-ef1-recovery", t, None, "failed after recovery deadline"))
 
         if t % n == 0:
             self._boundary_checks(state, t)
 
     def _boundary_checks(self, state, t):
-        tr = self.tracker
+        tr = state.pairwise()
         n = self.n
         sizes = set(state.goods_received)
         if len(sizes) != 1:
-            self.violations.append(Violation("balance", t, f"sizes {state.goods_received}"))
+            self.violations.append(Violation("balance", t, None, f"sizes {state.goods_received}"))
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if i != j and not tr.is_efk(i, j, 1):
-                    self.violations.append(Violation("ef1-round", t, f"agent {i} vs {j}"))
+                    self.violations.append(Violation("ef1-round", t, i, f"vs agent {j}"))
         graph = tr.envy_graph()
         try:
             topo_sort(graph)
         except CycleError as e:
-            self.violations.append(Violation("acyclic", t, f"cycle {e.cycle}"))
+            self.violations.append(Violation("acyclic", t, None, f"cycle {e.cycle}"))
         for (i, j), gap in graph.edges.items():
             prof = self.instance.agents[i - 1]
             bound = prof.alpha - prof.beta
@@ -400,13 +368,13 @@ class PriorityMatchingAuditor:
                 gap <= bound + REL_TOL * max(1.0, abs(bound))
             if not ok:
                 self.violations.append(
-                    Violation("edge-envy", t, f"({i},{j}) envy {gap} > {bound}"))
+                    Violation("edge-envy", t, i, f"envy {gap} of agent {j} > {bound}"))
         for i in range(1, n + 1):
             prof = self.instance.agents[i - 1]
             hs = state.high_seen[i - 1]
             mu = mms_two_value(hs, t - hs, prof.alpha, prof.beta, n)
             if n * tr.val[i][i] < mu:
-                self.violations.append(Violation("mms-round", t, f"agent {i}: mu={mu}"))
+                self.violations.append(Violation("mms-round", t, i, f"mu={mu}"))
         if self.exchange and self._round_pi:
             self._exchange_checks(graph, t)
 
@@ -421,7 +389,7 @@ class PriorityMatchingAuditor:
             gi, gj = col[i], col[j]
             if w[i - 1][gj] + w[j - 1][gi] > w[i - 1][gi] + w[j - 1][gj]:
                 self.violations.append(
-                    Violation("exchange", t, f"swapping goods of {i},{j} gains weight"))
+                    Violation("exchange", t, i, f"swapping goods with agent {j} gains weight"))
 
     def finish(self):
         return self.violations
@@ -429,12 +397,7 @@ class PriorityMatchingAuditor:
 
 def check_round_guarantees(trace, exchange=False):
     """Audit a priority-matching trace; returns violations."""
-    from .driver import replay_states
-
-    aud = PriorityMatchingAuditor(trace.instance, exchange=exchange)
-    for state, step in replay_states(trace):
-        aud.observe(state, trace.instance.goods[step.t - 1], step.agent, step.extras)
-    return aud.finish()
+    return audit_trace(trace, PriorityMatchingAuditor(trace.instance, exchange=exchange))
 
 
 # ---------------------------------------------------------------------------
@@ -456,29 +419,27 @@ def check_asymptotics(trace, lam: int, naive=False) -> AsymptoticsResult:
     two-agent rule)."""
     inst = trace.instance
     n = inst.n
-    tr = PairwiseTracker(inst)
     t_star = None
     prop_den = lam + 1 if naive else lam + 2
     violations = []
-    for step in trace.steps:
-        good = inst.goods[step.t - 1]
-        tr.observe(good, step.agent)
+    for state, _ in replay_states(trace):
+        tr = state.pairwise()
+        t = state.t
         if t_star is None:
             if all(tr.val[i][i] >= lam * inst.agents[i - 1].alpha
                    for i in range(1, n + 1)):
-                t_star = tr.t
+                t_star = t
         if t_star is None:
             continue
-        t = tr.t
         for i in range(1, n + 1):
             own = tr.val[i][i]
             if prop_den * n * own < lam * tr.seen_total[i]:
-                violations.append(Violation("prop-floor", t, f"agent {i}"))
+                violations.append(Violation("prop-floor", t, i, f"v={own}"))
             for j in range(1, n + 1):
                 if i == j:
                     continue
                 if (lam + 2) * own < lam * tr.val[i][j]:
-                    violations.append(Violation("ef-floor", t, f"agent {i} vs {j}"))
+                    violations.append(Violation("ef-floor", t, i, f"vs agent {j}"))
                 if not tr.is_efk(i, j, 1, lam, lam + 1):
-                    violations.append(Violation("ef1-floor", t, f"agent {i} vs {j}"))
+                    violations.append(Violation("ef1-floor", t, i, f"vs agent {j}"))
     return AsymptoticsResult(lam, t_star, violations)

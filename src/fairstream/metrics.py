@@ -26,7 +26,6 @@ Two independent maximin-share oracles are provided:
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -380,7 +379,8 @@ class PairwiseTracker:
 
     Keeps, per (viewer, owner) pair, the bundle value and enough structure to
     answer "value after removing the k best goods" in O(1): high/low counts
-    for 2-value instances, the two largest goods otherwise.
+    for 2-value instances, the two largest goods otherwise.  A run's tracker
+    belongs to its `AllocationState` (see `AllocationState.pairwise`).
     """
 
     def __init__(self, instance: Instance):
@@ -472,19 +472,14 @@ class FairnessReport:
 
 
 class ReportBuilder:
-    """Streams allocation decisions and emits FairnessReport rows on demand."""
+    """Emits FairnessReport rows of an instance from a run's ledger."""
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        self.tracker = PairwiseTracker(instance)
-        self._state = AllocationState(instance.agents)
 
-    def observe(self, good, agent: int):
-        self.tracker.observe(good, agent)
-        self._state.assign(good, agent)
-
-    def report(self) -> FairnessReport:
-        """Every agent's ratios after the goods observed so far.
+    def report(self, state: AllocationState) -> FairnessReport:
+        """Every agent's ratios after the goods `state` has seen, read from
+        `state.pairwise()`.
 
         For agent i the numerator v_i(A_i) is the same against every j, so
         min_j min(1, v_i(A_i)/d_j) = min(1, v_i(A_i)/max_j d_j), where a
@@ -495,7 +490,7 @@ class ReportBuilder:
         ratio below 1.  With n = 1 they are `_ONE` (nothing to envy).
         """
         n = self.instance.n
-        tr = self.tracker
+        tr = state.pairwise()
         removable = tr.removable_value
         ef, ef1, ef2, prop, mmsv, mmsr, deg = [], [], [], [], [], [], []
         for i in range(1, n + 1):
@@ -529,11 +524,11 @@ class ReportBuilder:
                 ef1.append(_ONE)
                 ef2.append(_ONE)
             prop.append(_ratio(n * mine, tr.seen_total[i]))
-            mu = mms_share(self._state, self.instance, i)
+            mu = mms_share(state, self.instance, i)
             mmsv.append(mu)
             mmsr.append(None if mu is None else _ratio(mine, mu))
             deg.append(envied)
-        return FairnessReport(tr.t, ef, ef1, ef2, prop, mmsv, mmsr, deg)
+        return FairnessReport(state.t, ef, ef1, ef2, prop, mmsv, mmsr, deg)
 
 
 def _fmt(x) -> str:

@@ -6,7 +6,7 @@ all public interfaces; the arrival index of a good doubles as its time step.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 class AgentType(enum.IntEnum):
@@ -161,28 +161,37 @@ def bundle_value(instance: Instance, agent: int, bundle) :
 
 
 class AllocationState:
-    """Mutable per-run allocation record: bundles plus running tallies.
+    """Mutable per-run allocation record and the run's one ledger.
 
-    `high_seen[i-1]` counts goods worth alpha_i among those seen so far,
-    matching the stream prefix regardless of who received them.
+    It keeps the bundles, the arrival log (`goods_seen`, and `recipients`,
+    the agent of each step) and running tallies.  `high_seen[i-1]` counts
+    goods worth alpha_i among those seen so far, matching the stream prefix
+    regardless of who received them.
+
+    `pairwise()` returns the run's only `PairwiseTracker`: every bundle's
+    value from every agent's view.  It is built from the log the first time
+    anyone asks for it and fed by every `assign` after that, so a run that
+    never asks never builds it.  Rules, auditors and reports all read this
+    one copy and must not mutate it.  `bundle_value`, `own_value` and
+    `seen_value` rescan the bundles; they are the direct oracles the ledger
+    is tested against.
     """
 
-    __slots__ = ("n", "t", "bundles", "goods_seen", "goods_received",
-                 "high_received", "high_seen", "_agents")
+    __slots__ = ("instance", "n", "t", "bundles", "goods_seen", "recipients",
+                 "goods_received", "high_received", "high_seen", "_agents", "_pairwise")
 
-    def __init__(self, agents):
-        self._agents = list(agents)
+    def __init__(self, instance: Instance):
+        self.instance = instance
+        self._agents = list(instance.agents)
         self.n = len(self._agents)
         self.t = 0
         self.bundles = [[] for _ in range(self.n)]
         self.goods_seen = []
+        self.recipients = []
         self.goods_received = [0] * self.n
         self.high_received = [0] * self.n
         self.high_seen = [0] * self.n
-
-    @classmethod
-    def fresh(cls, instance: Instance) -> "AllocationState":
-        return cls(instance.agents)
+        self._pairwise = None
 
     def profile(self, agent: int) -> AgentProfile:
         return self._agents[agent - 1]
@@ -195,6 +204,7 @@ class AllocationState:
             raise ValueError(f"good {event.index} arrived out of order at t={self.t}")
         self.t += 1
         self.goods_seen.append(event)
+        self.recipients.append(agent)
         self.bundles[agent - 1].append(event.index)
         self.goods_received[agent - 1] += 1
         for i in range(1, self.n + 1):
@@ -202,6 +212,18 @@ class AllocationState:
                 self.high_seen[i - 1] += 1
         if sees_high(self._agents[agent - 1], event, agent):
             self.high_received[agent - 1] += 1
+        if self._pairwise is not None:
+            self._pairwise.observe(event, agent)
+
+    def pairwise(self):
+        """The run's `PairwiseTracker`, built from the log on first use."""
+        if self._pairwise is None:
+            from .metrics import PairwiseTracker  # metrics imports this module
+            tracker = PairwiseTracker(self.instance)
+            for event, agent in zip(self.goods_seen, self.recipients):
+                tracker.observe(event, agent)
+            self._pairwise = tracker
+        return self._pairwise
 
     def bundle_value(self, viewer: int, owner: int):
         prof = self._agents[viewer - 1]
@@ -224,8 +246,9 @@ class OnlineAlgorithm:
     A fresh run begins with `start`; then `choose` is called once per arriving
     good with the state *before* the assignment and a foresight window of the
     next goods.  Decisions are irrevocable and must be deterministic in the
-    (history, window) pair.  `observe` is invoked after every completed
-    assignment so stateful rules can keep incremental bookkeeping.
+    (history, window) pair.  A rule keeps no copy of the run's tallies: the
+    state is the run's ledger, and a rule that needs pairwise bundle values
+    reads `state.pairwise()` (read-only) in `choose`.
     """
 
     name = "abstract"
@@ -245,9 +268,6 @@ class OnlineAlgorithm:
 
     def choose(self, state: AllocationState, good: GoodEvent, window) -> int:
         raise NotImplementedError
-
-    def observe(self, state: AllocationState, good: GoodEvent, agent: int):
-        pass
 
     def snapshot(self) -> dict:
         return {}

@@ -36,7 +36,7 @@ import pytest
 from fairstream.adversaries import ef1_adversary, mms_adversary, worst_step_share_ratio
 from fairstream.baselines import GreedyWelfare, RoundRobin
 from fairstream.deferred_priority import DeferredPriority, DeferredPriorityAuditor
-from fairstream.driver import Trace, replay_states, run_online
+from fairstream.driver import Trace, audit_trace, run_online
 from fairstream.generators import lows_then_highs, random_two_value
 from fairstream.matching import (NaiveMatching, PriorityMatching, check_alternation_guarantees,
                                  check_asymptotics, check_round_guarantees)
@@ -83,10 +83,8 @@ def _audit(rule, trace):
         return check_round_guarantees(trace, exchange=True)
     if rule == "naive":
         return check_alternation_guarantees(trace)
-    aud = DeferredPriorityAuditor(trace.instance, share_bounds=True, strict=True)
-    for state, step in replay_states(trace):
-        aud.observe(state, trace.instance.goods[step.t - 1], step.agent, step.extras)
-    return aud.finish()
+    return audit_trace(trace, DeferredPriorityAuditor(trace.instance, share_bounds=True,
+                                                       strict=True))
 
 
 def _summary(violations):

@@ -135,7 +135,7 @@ def test_round_plan_documented_example():
                     goods=[GoodEvent(1, high=[True, False]),
                            GoodEvent(2, high=[False, True])],
                     foresight=1)
-    state = AllocationState.fresh(inst)
+    state = AllocationState(inst)
     plan = priority_round_plan(state, inst, inst.goods)
     assert plan.pi == (1, 2)
     assert plan.assignment == {1: 1, 2: 2}
@@ -195,7 +195,7 @@ def test_priority_internal_graph_matches_reference_plan():
     n = 4
     inst = random_two_value(n, 6 * n, seed=2, bias=0.4, foresight=n - 1)
     trace = run_online(PriorityMatching(), inst)
-    state = AllocationState.fresh(inst)
+    state = AllocationState(inst)
     for step in trace.steps:
         t = step.t
         if (t - 1) % n == 0:
@@ -207,22 +207,6 @@ def test_priority_internal_graph_matches_reference_plan():
             assert committed == ref.assignment
             assert tuple(step.extras["pi"]) == ref.pi
         state.assign(inst.goods[t - 1], step.agent)
-
-
-def test_priority_step_function_follows_plan():
-    from fairstream.matching import priority_step
-
-    n = 3
-    inst = random_two_value(n, 2 * n, seed=5, bias=0.4, foresight=n - 1)
-    state = AllocationState.fresh(inst)
-    plan = None
-    agents = []
-    for pos, good in enumerate(inst.goods):
-        window = inst.goods[pos + 1: pos + n]
-        agent, plan = priority_step(state, good, window, plan, inst)
-        state.assign(good, agent)
-        agents.append(agent)
-    assert agents == run_online(PriorityMatching(), inst).choices
 
 
 def test_matching_trace_csv_columns():

@@ -16,7 +16,7 @@ def _state(profiles, masks, owners):
     agents = [AgentProfile(a, b) for a, b in profiles]
     goods = [GoodEvent(i, high=m) for i, m in enumerate(masks, 1)]
     inst = Instance(agents=agents, goods=goods)
-    st_ = AllocationState.fresh(inst)
+    st_ = AllocationState(inst)
     for g, o in zip(goods, owners):
         st_.assign(g, o)
     return st_, inst
@@ -127,7 +127,7 @@ def test_mms_report_two_value_and_interval():
     agents = [AgentProfile(4.0, 1.0)]
     goods = [GoodEvent(i, values=[1.5]) for i in range(1, 14)]
     inst2 = Instance(agents=agents, goods=goods, flavor=Flavor.INTERVAL)
-    st2 = AllocationState.fresh(inst2)
+    st2 = AllocationState(inst2)
     for g in goods:
         st2.assign(g, 1)
     assert mms_report(st2, inst2, 1) is None  # exhaustive oracle out of reach
@@ -163,14 +163,12 @@ def test_topo_sort_cycle_witness_skips_vertices_fed_by_a_cycle(n, edges, cycle):
 
 
 def test_report_builder_csv_schema():
-    st_, inst = _state([(5, 1), (5, 1)], [], [])
+    st_, inst = _state([(5, 1), (5, 1)], [(True, False), (False, True)], [])
     builder = ReportBuilder(inst)
-    goods = [GoodEvent(1, high=[True, False]), GoodEvent(2, high=[False, True])]
-    inst.goods.extend(goods)
     reports = []
-    for g, owner in zip(goods, (1, 2)):
-        builder.observe(g, owner)
-        reports.append(builder.report())
+    for g, owner in zip(inst.goods, (1, 2)):
+        st_.assign(g, owner)
+        reports.append(builder.report(st_))
     rows = report_csv_rows(reports)
     assert rows[0] == "t,agent,ef,ef1,ef2,prop,mms_value,mms_ratio,envy_out_degree"
     assert len(rows) == 1 + 2 * 2  # header + steps * agents
@@ -234,15 +232,10 @@ def random_states(draw, wide=False, grid=True):
         flavor = Flavor.TWO_VALUE
     owners = [draw(st.integers(1, n)) for _ in range(m)]
     inst = Instance(agents=agents, goods=goods, flavor=flavor)
-    state = AllocationState.fresh(inst)
+    state = AllocationState(inst)
     for g, o in zip(goods, owners):
         state.assign(g, o)
     return state, inst
-
-
-def _owners(state):
-    return [next(j + 1 for j in range(state.n) if g.index in state.bundles[j])
-            for g in state.goods_seen]
 
 
 def _integer_valued(inst):
@@ -262,10 +255,7 @@ def _same(got, want, exact):
 
 
 def _report_of(state, inst):
-    builder = ReportBuilder(inst)
-    for g, o in zip(state.goods_seen, _owners(state)):
-        builder.observe(g, o)
-    return builder.report(), builder.tracker
+    return ReportBuilder(inst).report(state), state.pairwise()
 
 
 @given(random_states(wide=True))
@@ -337,7 +327,7 @@ def test_ratios_invariant_under_scaling_one_agent(data, c):
     scaled_agents = list(inst.agents)
     scaled_agents[0] = AgentProfile(inst.agents[0].alpha * c, inst.agents[0].beta * c)
     inst2 = Instance(agents=scaled_agents, goods=inst.goods)
-    state2 = AllocationState.fresh(inst2)
+    state2 = AllocationState(inst2)
     for g in state.goods_seen:
         owner = next(j + 1 for j in range(n) if g.index in state.bundles[j])
         state2.assign(g, owner)
@@ -348,17 +338,25 @@ def test_ratios_invariant_under_scaling_one_agent(data, c):
     assert mms_report(state, inst, 1)[1] == mms_report(state2, inst2, 1)[1]
 
 
-@given(random_states(wide=True))
+@given(random_states(wide=True), st.data())
 @settings(max_examples=120, deadline=None)
-def test_pairwise_tracker_matches_direct_metrics(data):
+def test_pairwise_tracker_matches_direct_metrics(data, draws):
+    """The run ledger, first read at any step and fed by `assign` after that,
+    equals a tracker fed from step 1; both equal the direct functions."""
     from fairstream.metrics import removable_value
 
     state, inst = data
+    first_read = draws.draw(st.integers(0, state.t))
     tracker = PairwiseTracker(inst)
-    replay = AllocationState.fresh(inst)
-    for g, owner in zip(state.goods_seen, _owners(state)):
+    replay = AllocationState(inst)
+    for g, owner in zip(state.goods_seen, state.recipients):
+        if replay.t == first_read:
+            replay.pairwise()
         tracker.observe(g, owner)
         replay.assign(g, owner)
+    ledger = replay.pairwise()
+    assert ledger is replay.pairwise()
+    assert vars(ledger) == vars(tracker)
     for i in range(1, state.n + 1):
         assert tracker.seen_total[i] == replay.seen_value(i)
         for j in range(1, state.n + 1):
@@ -366,3 +364,29 @@ def test_pairwise_tracker_matches_direct_metrics(data):
             for k in (0, 1, 2):
                 assert tracker.removable_value(i, j, k) == removable_value(replay, i, j, k)
     assert tracker.envy_graph().edges == build_envy_graph(replay, inst).edges
+
+
+def test_a_run_feeds_one_tracker_once_per_good(monkeypatch, tmp_path):
+    """Bare deferred priority never builds the ledger; an audited
+    priority-matching CLI run with per-step reports builds exactly one and
+    feeds it once per good."""
+    from fairstream.cli import main
+    from fairstream.deferred_priority import DeferredPriority
+    from fairstream.driver import run_online
+    from fairstream.generators import random_two_value
+
+    fed = []
+    observe = PairwiseTracker.observe
+
+    def counting(self, good, agent):
+        fed.append(id(self))
+        observe(self, good, agent)
+
+    monkeypatch.setattr(PairwiseTracker, "observe", counting)
+    run_online(DeferredPriority(), random_two_value(4, 50, seed=1))
+    assert fed == []
+    m = 31
+    assert main(["run", "--alg", "priority-matching", "--gen", "random-2value", "--n", "3",
+                 "--m", str(m), "--seed", "2", "--foresight", "2", "--granularity", "step",
+                 "--assert-guarantees", "--report-out", str(tmp_path / "report.csv")]) == 0
+    assert len(fed) == m and len(set(fed)) == 1

@@ -85,7 +85,7 @@ def test_instance_validation():
 
 def test_allocation_state_partition_and_tallies():
     inst = _two_value_instance([(True, False), (False, True), (False, False)])
-    st_ = AllocationState.fresh(inst)
+    st_ = AllocationState(inst)
     st_.assign(inst.goods[0], 1)
     st_.assign(inst.goods[1], 1)
     st_.assign(inst.goods[2], 2)
