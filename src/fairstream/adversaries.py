@@ -220,13 +220,13 @@ def worst_step_share_ratio(alg: OnlineAlgorithm, instance: Instance) -> Fraction
     agents of the exact maximin-share ratio."""
     worst = Fraction(1)
     for state, _ in replay_states(run_online(alg, instance)):
-        own = state.pairwise().val
+        val = state.pairwise().val
         for i in range(1, instance.n + 1):
             prof = instance.agents[i - 1]
             h = state.high_seen[i - 1]
             mu = mms_two_value(h, state.t - h, prof.alpha, prof.beta, instance.n)
             if mu > 0:
-                worst = min(worst, min(Fraction(1), Fraction(own[i][i], mu)))
+                worst = min(worst, min(Fraction(1), Fraction(val[i][i], mu)))
     return worst
 
 

@@ -218,7 +218,6 @@ class AllocationState:
     def pairwise(self):
         """The run's `PairwiseTracker`, built from the log on first use."""
         if self._pairwise is None:
-            from .metrics import PairwiseTracker  # metrics imports this module
             tracker = PairwiseTracker(self.instance)
             for event, agent in zip(self.goods_seen, self.recipients):
                 tracker.observe(event, agent)
@@ -271,3 +270,8 @@ class OnlineAlgorithm:
 
     def snapshot(self) -> dict:
         return {}
+
+
+# metrics imports this module, so its tracker is imported once the names above
+# exist; an import inside `pairwise` would cost every run several microseconds
+from .metrics import PairwiseTracker  # noqa: E402
