@@ -9,10 +9,10 @@ Two solvers serve the priority-matching rule (`matching.plan_round`):
   ever formed.
 
 * `max_weight_assignment` solves a *partial* final round (fewer goods than
-  agents) from explicit int or Fraction weights; no floats enter the
-  optimization.  Small problems are solved by exhaustive permutation
-  search; larger ones by an exact Hungarian method plus a
-  fix-one-agent-at-a-time lexicographic refinement.
+  agents) from explicit int or Fraction weights by one exact Hungarian
+  solve over the goods, whose integer costs carry the tie-break: each
+  weight is scaled by B^n (B = goods + 1) and perturbed by the agents'
+  good indices as base-B digits, which sum to less than one scaled unit.
 
 Both return, among all maximum-weight assignments, the one whose per-agent
 good vector (good index matched to agent 1, agent 2, ...) is
@@ -20,92 +20,86 @@ lexicographically smallest, with unmatched agents sorting last.
 """
 from __future__ import annotations
 
-from itertools import permutations
-
-EXHAUSTIVE_LIMIT = 7
+import math
 
 
 def max_weight_assignment(weights, n_goods=None):
     """Assign every good (column) to a distinct agent (row), maximizing total
     weight.  Requires n_goods <= n_agents.  Returns a per-agent list of good
-    columns (0-based) with None for unmatched agents."""
-    n_agents = len(weights)
-    if n_goods is None:
-        n_goods = len(weights[0]) if weights else 0
-    if n_goods > n_agents:
+    columns (0-based) with None for unmatched agents: among the
+    maximum-weight assignments, the one with the lexicographically smallest
+    per-agent vector, unmatched agents sorting last.
+
+    One exact Hungarian solve finds it.  Weights are ints or Fractions,
+    scaled to integers by the lcm of their denominators.  With k goods, n
+    agents and B = k + 1, read an assignment's per-agent vector, with k for
+    an unmatched agent, as an n-digit base-B number: agent 1 is the leading
+    digit and every digit is below B, so the number is below B^n, one unit
+    of weight scaled by B^n.  Minimising weight * -B^n plus that number
+    therefore maximises the weight first and then takes the smallest vector.
+    The number is the constant sum_a k*B^(n-a) (every agent unmatched) plus
+    (c - k)*B^(n-a) for each agent a given good c, so good c costs agent a
+    (c - k)*B^(n-a) - w*B^n, shifted by one constant so that no cost is
+    negative, and the solve runs over k goods, not n agents.
+    """
+    n = len(weights)
+    k = (len(weights[0]) if weights else 0) if n_goods is None else n_goods
+    if k > n:
         raise ValueError("more goods than agents in one round")
-    if n_goods == 0:
-        return [None] * n_agents
-    if n_agents <= EXHAUSTIVE_LIMIT:
-        return _exhaustive(weights, n_agents, n_goods)
-    return _lexicographic_hungarian(weights, n_agents, n_goods)
-
-
-def _vector_key(assignment, n_goods):
-    return tuple(n_goods if g is None else g for g in assignment)
-
-
-def _exhaustive(weights, n_agents, n_goods):
-    best_val = None
-    best_assign = None
-    best_key = None
-    for agents in permutations(range(n_agents), n_goods):
-        val = 0
-        for g, a in enumerate(agents):
-            val += weights[a][g]
-        if best_val is not None and val < best_val:
-            continue
-        assign = [None] * n_agents
-        for g, a in enumerate(agents):
-            assign[a] = g
-        key = _vector_key(assign, n_goods)
-        if best_val is None or val > best_val or (val == best_val and key < best_key):
-            best_val, best_assign, best_key = val, assign, key
-    return best_assign
-
-
-def _hungarian_value(weights, rows, cols):
-    """Max total weight matching all of `cols` into distinct `rows` (exact)."""
-    if not cols:
-        return 0
-    n = len(rows)
-    # square min-cost matrix: real columns negated, dummy columns cost 0
-    cost = []
-    for r in rows:
-        row = [-weights[r][c] for c in cols] + [0] * (n - len(cols))
-        cost.append(row)
-    return -_hungarian_min_cost(cost)
+    if k == 0:
+        return [None] * n
+    scale = math.lcm(*{row[c].denominator for row in weights for c in range(k)})
+    rows = [[(row[c] * scale).numerator for c in range(k)] for row in weights]
+    base = k + 1
+    unit = base ** n
+    shift = max(0, max(map(max, rows))) * unit + k * base ** (n - 1)
+    cost = [[0] * (n + 1) for _ in range(k + 1)]  # 1-based: good c+1, agent a
+    for a, row in enumerate(rows, 1):
+        place = base ** (n - a)
+        for c, w in enumerate(row):
+            cost[c + 1][a] = shift + (c - k) * place - w * unit
+    owner = _hungarian_min_cost(cost)
+    return [owner[a] - 1 if owner[a] else None for a in range(1, n + 1)]
 
 
 def _hungarian_min_cost(cost):
-    """Exact min-cost square assignment (potentials method); returns the cost."""
-    n = len(cost)
-    big = sum(abs(c) for row in cost for c in row) + 1
-    u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    p = [0] * (n + 1)
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
+    """Exact min-cost assignment of every row to a distinct column
+    (potentials method; rows <= columns, nonnegative costs, row and column 0
+    unused).  Returns the row (0 for none) that each column is matched to.
+
+    Row potentials start at 0 and only grow, column potentials start at 0
+    and only fall, and a row's potential is bounded by its cost to a column
+    no row holds yet, whose potential is still 0.  So every reduced cost is
+    at most twice the largest cost, and one more than that is infinity.
+    """
+    rows, cols = len(cost) - 1, len(cost[0]) - 1
+    big = 2 * max(map(max, cost)) + 1
+    u = [0] * (rows + 1)
+    v = [0] * (cols + 1)
+    p = [0] * (cols + 1)
+    way = [0] * (cols + 1)
+    for i in range(1, rows + 1):
         p[0] = i
         j0 = 0
-        minv = [big] * (n + 1)
-        used = [False] * (n + 1)
+        minv = [big] * (cols + 1)
+        used = [False] * (cols + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
+            row, ui = cost[i0], u[i0]
             delta = big
             j1 = -1
-            for j in range(1, n + 1):
+            for j in range(1, cols + 1):
                 if used[j]:
                     continue
-                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                cur = row[j] - ui - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
                 if minv[j] < delta:
                     delta = minv[j]
                     j1 = j
-            for j in range(n + 1):
+            for j in range(cols + 1):
                 if used[j]:
                     u[p[j]] += delta
                     v[j] -= delta
@@ -118,42 +112,7 @@ def _hungarian_min_cost(cost):
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
-    total = 0
-    for j in range(1, n + 1):
-        if p[j]:
-            total += cost[p[j] - 1][j - 1]
-    return total
-
-
-def _lexicographic_hungarian(weights, n_agents, n_goods):
-    rows = list(range(n_agents))
-    cols = list(range(n_goods))
-    target = _hungarian_value(weights, rows, cols)
-    assign = [None] * n_agents
-    for a in range(n_agents):
-        rest_rows = [r for r in rows if r != a]
-        fixed = None
-        for g in sorted(cols) + [None]:
-            if g is None:
-                if len(cols) > len(rest_rows):
-                    continue  # every good still needs a distinct agent
-                sub = _hungarian_value(weights, rest_rows, cols)
-                gain = 0
-            else:
-                rest_cols = [c for c in cols if c != g]
-                if len(rest_cols) > len(rest_rows):
-                    continue
-                sub = _hungarian_value(weights, rest_rows, rest_cols)
-                gain = weights[a][g]
-            if gain + sub == target:
-                fixed = g
-                target -= gain
-                break
-        if fixed is not None:
-            assign[a] = fixed
-            cols.remove(fixed)
-        rows.remove(a)
-    return assign
+    return p
 
 
 def priority_assignment(high, order):

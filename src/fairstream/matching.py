@@ -17,11 +17,13 @@ Two rules live here:
   alpha_i - beta_i, and the allocation is envy-free-up-to-1 at every multiple
   of n and envy-free-up-to-2 always.
 
-  A full round (n goods) is solved from its structure by
-  `assignment.priority_assignment`, without forming a weight; only a partial
-  final round (fewer goods than agents) builds `aux_weight_matrix` and goes
-  through `assignment.max_weight_assignment`.  Both return the same,
-  lexicographically smallest maximum-weight matching.
+  `plan_round` picks the solver from the round's size.  A full round (n
+  goods) is solved from its structure by `assignment.priority_assignment`,
+  without forming a weight.  Only a partial final round (fewer goods than
+  agents) builds `aux_weight_matrix`, and `assignment.max_weight_assignment`
+  solves it by one exact Hungarian solve whose integer costs carry the
+  tie-break.  Both return the lexicographically smallest maximum-weight
+  matching, so the split never shows in a trace.
 """
 from __future__ import annotations
 
@@ -184,9 +186,9 @@ def plan_round(graph, agents, goods, round_index: int) -> RoundPlan:
     """Topologically sort the envy graph and match one round of goods.
 
     A full round (one good per agent) is solved from its structure by
-    `priority_assignment`; a partial final round by `max_weight_assignment`
-    on `aux_weight_matrix`.  Both give the lexicographically smallest
-    maximum-weight matching.
+    `priority_assignment`; a partial final round by one exact
+    `max_weight_assignment` solve on `aux_weight_matrix`.  Both give the
+    lexicographically smallest maximum-weight matching.
     """
     try:
         pi = topo_sort(graph)

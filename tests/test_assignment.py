@@ -6,10 +6,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairstream.assignment import (_exhaustive, _lexicographic_hungarian,
-                                   max_weight_assignment, priority_assignment)
+from fairstream.assignment import max_weight_assignment, priority_assignment
 from fairstream.matching import aux_weight_matrix
 from fairstream.model import AgentProfile, GoodEvent
+
+
+def _exhaustive(weights, n_agents, n_goods):
+    """Oracle: search every placement of the goods on distinct agents for the
+    maximum weight, ties to the smallest per-agent good vector (unmatched
+    agents sorting last)."""
+    best_val = best_assign = best_key = None
+    for agents in permutations(range(n_agents), n_goods):
+        val = 0
+        for g, a in enumerate(agents):
+            val += weights[a][g]
+        if best_val is not None and val < best_val:
+            continue
+        assign = [None] * n_agents
+        for g, a in enumerate(agents):
+            assign[a] = g
+        key = tuple(n_goods if g is None else g for g in assign)
+        if best_val is None or val > best_val or key < best_key:
+            best_val, best_assign, best_key = val, assign, key
+    return best_assign
 
 
 def test_simple_square():
@@ -52,17 +71,13 @@ def weight_problems(draw):
 
 @given(weight_problems())
 @settings(max_examples=120, deadline=None)
-def test_hungarian_path_matches_exhaustive(problem):
+def test_fraction_weights_match_exhaustive(problem):
     rows, k = problem
-    exhaustive = max_weight_assignment(rows, k)
-    hungarian = _lexicographic_hungarian(rows, len(rows), k)
-    assert exhaustive == hungarian
+    assert max_weight_assignment(rows, k) == _exhaustive(rows, len(rows), k)
 
 
 def test_large_instance_matches_brute_force():
-    from fairstream.assignment import _exhaustive
-
-    n = 8  # above the exhaustive cutoff inside max_weight_assignment
+    n = 8
     w = [[(i * 7 + j * 3) % 11 for j in range(n)] for i in range(n)]
     result = max_weight_assignment(w)
     assert sorted(result) == list(range(n))
@@ -70,16 +85,16 @@ def test_large_instance_matches_brute_force():
 
 
 # ---------------------------------------------------------------------------
-# full priority rounds: the structural solver against the weighted solvers
+# priority rounds: both solvers against the oracle on the rule's weights
 # ---------------------------------------------------------------------------
 
-def priority_weights(high, pi):
-    """The rule's integer weights for masks `high` and ranks `pi` (agent a,
-    0-based, has rank pi[a])."""
+def priority_weights(high, pi, k=None):
+    """The rule's integer weights for masks `high` over k goods (n by
+    default) and ranks `pi` (agent a, 0-based, has rank pi[a])."""
     n = len(high)
     agents = [AgentProfile(2, 1)] * n
     goods = [GoodEvent(c + 1, high=[bool(high[a] >> c & 1) for a in range(n)])
-             for c in range(n)]
+             for c in range(n if k is None else k)]
     return aux_weight_matrix(pi, agents, goods)
 
 
@@ -99,7 +114,7 @@ def test_priority_assignment_matches_exhaustive_on_every_mask(n):
 def test_priority_assignment_matches_weighted_solver_on_random_masks():
     rng = random.Random(20)
     for case in range(240):
-        n = 4 + case % 9  # 4..12, both sides of the exhaustive limit
+        n = 4 + case % 9  # 4..12
         density = (0.0, 0.15, 0.5, 0.85, 1.0)[case % 5]
         full = (1 << n) - 1
         high = [sum(1 << c for c in range(n) if rng.random() < density)
@@ -110,3 +125,25 @@ def test_priority_assignment_matches_weighted_solver_on_random_masks():
         rng.shuffle(pi)
         expected = max_weight_assignment(priority_weights(high, pi))
         assert priority_assignment(high, rank_order(pi)) == expected, (high, pi)
+
+
+def _partial_rounds(n, orders):
+    """Every mask of every partial round (k < n goods) under each rank order."""
+    for k in range(n):
+        for pi in orders:
+            for bits in product((0, 1), repeat=n * k):
+                yield [sum(bits[a * k + c] << c for c in range(k)) for a in range(n)], pi, k
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_partial_round_matches_exhaustive_on_every_mask_and_order(n):
+    for high, pi, k in _partial_rounds(n, list(permutations(range(1, n + 1)))):
+        w = priority_weights(high, pi, k)
+        assert max_weight_assignment(w, k) == _exhaustive(w, n, k), (high, pi)
+
+
+def test_partial_round_matches_exhaustive_on_every_mask_at_n4():
+    orders = [(1, 2, 3, 4), (4, 3, 2, 1), (2, 4, 1, 3), (3, 1, 4, 2)]
+    for high, pi, k in _partial_rounds(4, orders):
+        w = priority_weights(high, pi, k)
+        assert max_weight_assignment(w, k) == _exhaustive(w, 4, k), (high, pi)
