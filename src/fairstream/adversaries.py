@@ -71,6 +71,7 @@ class _AdaptiveRun:
 
     def emit(self, mask) -> int:
         good = GoodEvent(self.state.t + 1, high=mask)
+        self.instance.validate_good(good)
         self.instance.goods.append(good)
         agent = self.alg.choose(self.state, good, [])
         if not 1 <= agent <= self.n:

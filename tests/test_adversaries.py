@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairstream.adversaries import (check_sqrt_gap, ef1_adversary, lows_then_highs,
-                                    mms_adversary, sqrt_gap, worst_step_share_ratio)
+from fairstream.adversaries import (_AdaptiveRun, check_sqrt_gap, ef1_adversary,
+                                    lows_then_highs, mms_adversary, sqrt_gap,
+                                    worst_step_share_ratio)
 from fairstream.baselines import GreedyWelfare, RoundRobin
 from fairstream.deferred_priority import DeferredPriority
 from fairstream.driver import run_online
 from fairstream.matching import NaiveMatching, PriorityMatching
-from fairstream.model import OnlineAlgorithm
+from fairstream.model import AgentProfile, OnlineAlgorithm
 
 
 class _AlwaysFirst(OnlineAlgorithm):
@@ -116,6 +117,16 @@ def test_adversary_goods_are_valid_two_value_events():
     trace = mms_adversary(RoundRobin(), 4)
     for g in trace.instance.goods:
         assert g.high is not None and len(g.high) == 4
+
+
+def test_adaptive_run_rejects_a_malformed_good_and_keeps_its_state():
+    run = _AdaptiveRun("ef1", RoundRobin(), [AgentProfile(2, 1)] * 2, Fraction(1, 2), "ef1")
+    run.emit([True, False])
+    with pytest.raises(ValueError, match="expected 2 entries"):
+        run.emit([True])
+    assert len(run.instance.goods) == run.state.t == len(run.choices) == 1
+    run.emit([False, True])
+    assert run.choices == [1, 2]
 
 
 # ---------------------------------------------------------------------------
