@@ -6,6 +6,7 @@ all public interfaces; the arrival index of a good doubles as its time step.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 
@@ -24,6 +25,9 @@ def classify_agent(alpha, beta) -> AgentType:
     >>> classify_agent(1, 0)
     <AgentType.TYPE3: 3>
     """
+    for v in (alpha, beta):
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"values must be finite, got alpha={alpha}, beta={beta}")
     if beta < 0 or alpha < beta:
         raise ValueError(f"need alpha >= beta >= 0, got alpha={alpha}, beta={beta}")
     if alpha == 0:

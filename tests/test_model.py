@@ -32,6 +32,17 @@ def test_classify_agent_rejects_bad_pairs():
         AgentProfile(2, 3)
 
 
+@pytest.mark.parametrize("alpha, beta", [
+    (float("nan"), 1.0), (float("inf"), 1.0), (2.0, float("nan")),
+    (float("inf"), float("inf")), (float("nan"), float("nan")), (1.0, float("-inf")),
+])
+def test_classify_agent_rejects_non_finite_values(alpha, beta):
+    with pytest.raises(ValueError, match="finite"):
+        classify_agent(alpha, beta)
+    with pytest.raises(ValueError, match="finite"):
+        AgentProfile(alpha, beta)
+
+
 def test_value_examples():
     prof = AgentProfile(5, 1)
     hi = GoodEvent(1, high=[True])
