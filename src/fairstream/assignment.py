@@ -43,7 +43,9 @@ def max_weight_assignment(weights, n_goods=None):
     negative, and the solve runs over k goods, not n agents.
     """
     n = len(weights)
-    k = (len(weights[0]) if weights else 0) if n_goods is None else n_goods
+    k = n_goods
+    if k is None:
+        k = len(weights[0]) if weights else 0
     if k > n:
         raise ValueError("more goods than agents in one round")
     if k == 0:
