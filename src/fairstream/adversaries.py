@@ -90,6 +90,7 @@ class _AdaptiveRun:
     def _ratios(self):
         st = self.state
         tr = st.pairwise()
+        d1 = tr.maxima()[0][1] if self.metric != "mms" else None
         out = []
         for i in range(1, self.n + 1):
             own = tr.val[i][i]
@@ -99,14 +100,9 @@ class _AdaptiveRun:
                 mu = mms_two_value(h, st.t - h, prof.alpha, prof.beta, self.n)
                 out.append(Fraction(1) if mu == 0 else min(Fraction(1), Fraction(own, mu)))
             else:
-                worst = Fraction(1)
-                for j in range(1, self.n + 1):
-                    if j == i:
-                        continue
-                    den = tr.removable_value(i, j, 1)
-                    if den > 0:
-                        worst = min(worst, min(Fraction(1), Fraction(own, den)))
-                out.append(worst)
+                # min over j of min(1, own/d_j) is the ratio at the largest d_j
+                den = d1[i]
+                out.append(min(Fraction(1), Fraction(own, den)) if den > 0 else Fraction(1))
         return tuple(out)
 
     def finish(self, **notes) -> AdversaryTrace:

@@ -266,15 +266,13 @@ class NaiveMatchingAuditor:
     def observe(self, state, good, agent, extras):
         tr = state.pairwise()
         t = state.t
-        for i, j in ((1, 2), (2, 1)):
-            if not tr.is_efk(i, j, 2):
-                self.violations.append(Violation("ef2", t, i, f"vs agent {j}"))
+        for i, j in tr.efk_failures(2):
+            self.violations.append(Violation("ef2", t, i, f"vs agent {j}"))
         if t % 2 == 0:
             if state.goods_received[0] != t // 2 or state.goods_received[1] != t // 2:
                 self.violations.append(Violation("balance", t, None, "unequal bundle sizes"))
-            for i, j in ((1, 2), (2, 1)):
-                if not tr.is_efk(i, j, 1):
-                    self.violations.append(Violation("ef1-even", t, i, f"vs agent {j}"))
+            for i, j in tr.efk_failures(1):
+                self.violations.append(Violation("ef1-even", t, i, f"vs agent {j}"))
             ctr = extras.get("ctr")
             if ctr is not None:
                 favored = 2 if ctr == 0 else 1  # the agent that must not envy
@@ -328,16 +326,9 @@ class PriorityMatchingAuditor:
             self._round_recipient = {}
         self._round_recipient[agent] = good
 
-        half_ok = True
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                if not tr.is_efk(i, j, 2):
-                    self.violations.append(Violation("ef2", t, i, f"vs agent {j}"))
-                if not tr.is_efk(i, j, 1, 1, 2):
-                    half_ok = False
-        if not half_ok:
+        for i, j in tr.efk_failures(2):
+            self.violations.append(Violation("ef2", t, i, f"vs agent {j}"))
+        if tr.efk_failures(1, 1, 2):
             self.half_ef1_failures.append(t)
             if self.recovery_deadline is None:
                 self.recovery_deadline = -(-t // n) * n
@@ -354,10 +345,8 @@ class PriorityMatchingAuditor:
         sizes = set(state.goods_received)
         if len(sizes) != 1:
             self.violations.append(Violation("balance", t, None, f"sizes {state.goods_received}"))
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j and not tr.is_efk(i, j, 1):
-                    self.violations.append(Violation("ef1-round", t, i, f"vs agent {j}"))
+        for i, j in tr.efk_failures(1):
+            self.violations.append(Violation("ef1-round", t, i, f"vs agent {j}"))
         graph = tr.envy_graph()
         try:
             topo_sort(graph)
@@ -433,10 +422,15 @@ def check_asymptotics(trace, lam: int, naive=False) -> AsymptoticsResult:
                 t_star = t
         if t_star is None:
             continue
+        d0 = tr.maxima()[0][0]
         for i in range(1, n + 1):
             own = tr.val[i][i]
             if prop_den * n * own < lam * tr.seen_total[i]:
                 violations.append(Violation("prop-floor", t, i, f"v={own}"))
+            # both floors are monotone in the other side: scan j only when
+            # the largest value fails one of them
+            if (lam + 2) * own >= lam * d0[i] and tr.efk_holds(i, 1, lam, lam + 1):
+                continue
             for j in range(1, n + 1):
                 if i == j:
                     continue

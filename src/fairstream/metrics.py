@@ -13,7 +13,15 @@ v_i(A_i) is the same against every other agent j, so
 where a denominator d <= 0 counts as ratio 1.  It holds on floats too,
 because correctly rounded division is monotone.  EF, EF1 and EF2 of agent i
 are therefore one ratio each, taken against the largest k = 0, 1, 2
-removable value over j.
+removable value over j.  The same holds for a check v_i(A_i) >= c * d_j: its
+tolerance is monotone in the right-hand side, so it passes for every j iff
+it passes for the largest d_j.
+
+The run's `PairwiseTracker` keeps those largest values per viewer, with the
+envy out-degree (`PairwiseTracker.maxima`).  They are built on the first
+read and updated in O(n) per good after that, so a report and every
+auditor's EFk check are O(n) per step; only a viewer whose maximum fails is
+scanned over j for witnesses.
 
 Two independent maximin-share oracles are provided:
 
@@ -36,9 +44,11 @@ REL_TOL = 1e-9
 
 _ONE = Fraction(1)
 
+_EXACT = (int, Fraction)
+
 
 def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction))
+    return isinstance(x, _EXACT)
 
 
 def _ratio(num, den):
@@ -56,7 +66,7 @@ def _ratio(num, den):
 
 def _gt(a, b) -> bool:
     """a > b, beyond relative tolerance when floats are involved."""
-    if _is_exact(a) and _is_exact(b):
+    if isinstance(a, _EXACT) and isinstance(b, _EXACT):  # _is_exact, inlined: hot
         return a > b
     return a - b > REL_TOL * max(1.0, abs(a), abs(b))
 
@@ -374,6 +384,17 @@ def _find_cycle(succ, remaining):
 # ---------------------------------------------------------------------------
 
 
+def _geq(lhs, rhs) -> bool:
+    """lhs >= rhs, within relative tolerance when floats are involved.
+
+    The float side is nondecreasing in rhs, so lhs passes against every
+    right-hand side iff it passes against the largest one.
+    """
+    if isinstance(lhs, _EXACT) and isinstance(rhs, _EXACT):
+        return lhs >= rhs
+    return lhs >= rhs - REL_TOL * max(1.0, abs(lhs), abs(rhs))
+
+
 class PairwiseTracker:
     """Incremental view of every bundle from every agent's perspective.
 
@@ -381,6 +402,18 @@ class PairwiseTracker:
     answer "value after removing the k best goods" in O(1): high/low counts
     for 2-value instances, the two largest goods otherwise.  A run's tracker
     belongs to its `AllocationState` (see `AllocationState.pairwise`).
+
+    Per viewer it can also keep the largest removable value over the other
+    agents, d_k[i] = max_{j != i} removable_value(i, j, k) for k = 0, 1, 2,
+    with its argmax, and the viewer's envy out-degree (`maxima`).  They are
+    built on first read, so a run that never reads them pays one `is None`
+    test per `observe`; after that `observe` keeps them current in O(n).
+    Agent a receiving a good changes only column a of `val`, and in exact
+    arithmetic a removable value never decreases, so each other viewer needs
+    one compare per k against column a; row i is rescanned only when its
+    argmax column went down (float rounding).  Envy of a growing bundle
+    cannot vanish, so the out-degree needs one `_gt` test per other viewer
+    plus a recount of row a, whose own value grew.
     """
 
     def __init__(self, instance: Instance):
@@ -396,6 +429,88 @@ class PairwiseTracker:
         else:
             self.top2 = [[(0, 0)] * (n + 1) for _ in range(n + 1)]
         self.t = 0
+        self.dmax = None      # dmax[k][i] = d_k[i], built by `maxima`
+        self.argmax = None    # argmax[k][i]: the first j attaining it when scanned
+        self.envy_out = None  # envy_out[i] = |{j : i envies j}|
+        self._envies = None   # _envies[i][j]: i envies j
+
+    def maxima(self):
+        """(dmax, argmax, envy_out), built from `val` on the first call.
+
+        dmax[k][i] = max_{j != i} removable_value(i, j, k), attained at
+        j = argmax[k][i]; envy_out[i] counts the j with `_gt(val[i][j],
+        val[i][i])`.  With one agent dmax is 0 and argmax 0 (no owner).
+        Callers must not mutate them.
+        """
+        if self.dmax is None:
+            n = self.n
+            self.dmax = [[0] * (n + 1) for _ in range(3)]
+            self.argmax = [[0] * (n + 1) for _ in range(3)]
+            self.envy_out = [0] * (n + 1)
+            self._envies = [[False] * (n + 1) for _ in range(n + 1)]
+            for i in range(1, n + 1):
+                for k in range(3):
+                    self._rescan(i, k)
+                self._recount(i)
+        return self.dmax, self.argmax, self.envy_out
+
+    def _rescan(self, i: int, k: int):
+        best, arg = 0, 0
+        for j in range(1, self.n + 1):
+            if j != i:
+                r = self.removable_value(i, j, k)
+                if arg == 0 or r > best:
+                    best, arg = r, j
+        self.dmax[k][i] = best
+        self.argmax[k][i] = arg
+
+    def _recount(self, i: int):
+        row, env = self.val[i], self._envies[i]
+        mine = row[i]
+        for j in range(1, self.n + 1):
+            env[j] = j != i and row[j] > mine and _gt(row[j], mine)  # _gt implies >
+        self.envy_out[i] = sum(env)
+
+    def _update_maxima(self, a: int):
+        """Bring the maxima up to date after agent a received a good."""
+        val, removable, envies = self.val, self.removable_value, self._envies
+        slots = tuple(zip((0, 1, 2), self.dmax, self.argmax))
+        for i in range(1, self.n + 1):
+            if i == a:
+                continue
+            theirs = val[i][a]
+            for k, d, arg in slots:
+                if arg[i] == a:
+                    r = removable(i, a, k) if k else theirs
+                    if r < d[i]:
+                        self._rescan(i, k)
+                    else:
+                        d[i] = r
+                # removing goods never raises a value, so theirs bounds r
+                elif theirs > d[i]:
+                    r = removable(i, a, k) if k else theirs
+                    if r > d[i]:
+                        d[i] = r
+                        arg[i] = a
+            mine = val[i][i]
+            if not envies[i][a] and theirs > mine and _gt(theirs, mine):
+                envies[i][a] = True
+                self.envy_out[i] += 1
+        self._recount(a)
+
+    def efk_holds(self, i: int, k: int, num=1, den=1) -> bool:
+        """`is_efk(i, j, k, num, den)` for every j != i, tested once against
+        the largest removable value (`_geq` is monotone in it)."""
+        lhs = den * self.val[i][i]
+        rhs = num * (self.dmax or self.maxima()[0])[k][i]
+        return lhs >= rhs or _geq(lhs, rhs)  # lhs >= rhs implies _geq
+
+    def efk_failures(self, k: int, num=1, den=1) -> list:
+        """The pairs (i, j), in index order, with `is_efk(i, j, k, num,
+        den)` false.  Only a viewer whose largest removable value fails is
+        scanned over j."""
+        return [(i, j) for i in range(1, self.n + 1) if not self.efk_holds(i, k, num, den)
+                for j in range(1, self.n + 1) if j != i and not self.is_efk(i, j, k, num, den)]
 
     def observe(self, good, agent: int):
         self.t += 1
@@ -416,6 +531,8 @@ class PairwiseTracker:
                     self.top2[i][j] = (v, a)
                 elif v > b:
                     self.top2[i][j] = (a, v)
+        if self.dmax is not None:
+            self._update_maxima(agent)
 
     def removable_value(self, i: int, j: int, k: int):
         full = self.val[i][j]
@@ -432,11 +549,7 @@ class PairwiseTracker:
 
     def is_efk(self, i: int, j: int, k: int, num=1, den=1) -> bool:
         """Exact check: v_i(A_i) >= (num/den) * (A_j minus its k best)."""
-        lhs = den * self.val[i][i]
-        rhs = num * self.removable_value(i, j, k)
-        if _is_exact(lhs) and _is_exact(rhs):
-            return lhs >= rhs
-        return lhs >= rhs - REL_TOL * max(1.0, abs(lhs), abs(rhs))
+        return _geq(den * self.val[i][i], num * self.removable_value(i, j, k))
 
     def envy_graph(self) -> EnvyGraph:
         g = EnvyGraph(self.n)
@@ -479,46 +592,28 @@ class ReportBuilder:
 
     def report(self, state: AllocationState) -> FairnessReport:
         """Every agent's ratios after the goods `state` has seen, read from
-        `state.pairwise()`.
+        `state.pairwise()` and its per-viewer maxima (`maxima`, built on the
+        first report and kept current by the ledger after that).
 
         For agent i the numerator v_i(A_i) is the same against every j, so
         min_j min(1, v_i(A_i)/d_j) = min(1, v_i(A_i)/max_j d_j), where a
         denominator d <= 0 counts as ratio 1 (on floats too, since rounded
-        division is monotone).  One pass over j finds the largest k = 0, 1, 2
-        removable value and counts the j that i envies; EF, EF1 and EF2 are
-        then one `_ratio` each, and a `Fraction` is built only for a reported
-        ratio below 1.  With n = 1 they are `_ONE` (nothing to envy).
+        division is monotone).  EF, EF1 and EF2 are therefore one `_ratio`
+        each against the ledger's largest k = 0, 1, 2 removable value, the
+        envy out-degree is the ledger's count, and a report is O(n) plus the
+        maximin lookups.  A `Fraction` is built only for a reported ratio
+        below 1.  With n = 1 the ratios are `_ONE` (nothing to envy).
         """
         n = self.instance.n
         tr = state.pairwise()
-        removable = tr.removable_value
-        ef, ef1, ef2, prop, mmsv, mmsr, deg = [], [], [], [], [], [], []
+        (d0, d1, d2), _, deg = tr.maxima()
+        ef, ef1, ef2, prop, mmsv, mmsr = [], [], [], [], [], []
         for i in range(1, n + 1):
-            row = tr.val[i]
-            mine = row[i]
-            d0 = d1 = d2 = 0
-            envied = 0
-            for j in range(1, n + 1):
-                if j == i:
-                    continue
-                theirs = row[j]
-                if theirs > mine and _gt(theirs, mine):  # _gt implies >
-                    envied += 1
-                # removing goods never raises a value, so theirs bounds d1, d2
-                if theirs > d0:
-                    d0 = theirs
-                if theirs > d1:
-                    r = removable(i, j, 1)
-                    if r > d1:
-                        d1 = r
-                if theirs > d2:
-                    r = removable(i, j, 2)
-                    if r > d2:
-                        d2 = r
+            mine = tr.val[i][i]
             if n > 1:
-                ef.append(_ratio(mine, d0))
-                ef1.append(_ratio(mine, d1))
-                ef2.append(_ratio(mine, d2))
+                ef.append(_ratio(mine, d0[i]))
+                ef1.append(_ratio(mine, d1[i]))
+                ef2.append(_ratio(mine, d2[i]))
             else:
                 ef.append(_ONE)
                 ef1.append(_ONE)
@@ -527,8 +622,7 @@ class ReportBuilder:
             mu = mms_share(state, self.instance, i)
             mmsv.append(mu)
             mmsr.append(None if mu is None else _ratio(mine, mu))
-            deg.append(envied)
-        return FairnessReport(state.t, ef, ef1, ef2, prop, mmsv, mmsr, deg)
+        return FairnessReport(state.t, ef, ef1, ef2, prop, mmsv, mmsr, deg[1:])
 
 
 def _fmt(x) -> str:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairstream.metrics import (CycleError, EnvyGraph, PairwiseTracker, ReportBuilder,
-                                _ratio, build_envy_graph, efk_ratio, efk_ratio_all,
+                                _gt, _ratio, build_envy_graph, efk_ratio, efk_ratio_all,
                                 mms_exhaustive, mms_report, mms_two_value, prop_ratio,
                                 report_csv_rows, topo_sort)
 from fairstream.model import (AgentProfile, AllocationState, Flavor, GoodEvent,
@@ -364,6 +364,53 @@ def test_pairwise_tracker_matches_direct_metrics(data, draws):
             for k in (0, 1, 2):
                 assert tracker.removable_value(i, j, k) == removable_value(replay, i, j, k)
     assert tracker.envy_graph().edges == build_envy_graph(replay, inst).edges
+
+
+def _assert_maxima_direct(tr):
+    """The ledger's maxima equal a direct max over j, attained at its argmax,
+    and its out-degrees a direct count of the j with `_gt`."""
+    dmax, argmax, envy_out = tr.maxima()
+    n = tr.n
+    for i in range(1, n + 1):
+        others = [j for j in range(1, n + 1) if j != i]
+        for k in (0, 1, 2):
+            direct = max((tr.removable_value(i, j, k) for j in others), default=0)
+            assert dmax[k][i] == direct, (i, k, dmax[k][i], direct)
+            if others:
+                assert tr.removable_value(i, argmax[k][i], k) == direct
+        assert envy_out[i] == sum(_gt(tr.val[i][j], tr.val[i][i]) for j in others)
+
+
+@given(random_states(wide=True, grid=False), st.data())
+@settings(max_examples=300, deadline=None)
+def test_ledger_maxima_equal_direct_max_and_count(data, draws):
+    """First read at a random step, then kept current by every `assign`:
+    on integer, float-profile and interval instances (arbitrary floats, so
+    a removable value can go down by rounding)."""
+    state, inst = data
+    first_read = draws.draw(st.integers(0, state.t))
+    replay = AllocationState(inst)
+    for g, owner in zip(state.goods_seen, state.recipients):
+        if replay.t == first_read:
+            _assert_maxima_direct(replay.pairwise())
+        replay.assign(g, owner)
+        if replay.t > first_read:
+            _assert_maxima_direct(replay.pairwise())
+    _assert_maxima_direct(replay.pairwise())
+
+
+def test_efk_holds_keeps_the_float_tolerance():
+    """Agent 1 holds one good worth 0.3; agent 2's bundle minus its best is
+    0.1 + 0.1 + 0.1, one rounding above 0.3.  Within 1e-9 that is EF1."""
+    inst = Instance(agents=[AgentProfile(0.3, 0.1), AgentProfile(1, 1)],
+                    goods=[GoodEvent(t, high=(t == 1 or t == 5, False)) for t in range(1, 6)])
+    state = AllocationState(inst)
+    for g, owner in zip(inst.goods, (1, 2, 2, 2, 2)):
+        state.assign(g, owner)
+    tr = state.pairwise()
+    assert tr.removable_value(1, 2, 1) > tr.val[1][1]
+    assert tr.is_efk(1, 2, 1) and tr.efk_holds(1, 1)
+    assert tr.efk_failures(1) == []
 
 
 def test_a_run_feeds_one_tracker_once_per_good(monkeypatch, tmp_path):
