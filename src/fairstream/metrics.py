@@ -400,8 +400,9 @@ class PairwiseTracker:
 
     Keeps, per (viewer, owner) pair, the bundle value and enough structure to
     answer "value after removing the k best goods" in O(1): high/low counts
-    for 2-value instances, the two largest goods otherwise.  A run's tracker
-    belongs to its `AllocationState` (see `AllocationState.pairwise`).
+    for 2-value instances, the two largest goods and the bundle size
+    otherwise.  A run's tracker belongs to its `AllocationState` (see
+    `AllocationState.pairwise`).
 
     Per viewer it can also keep the largest removable value over the other
     agents, d_k[i] = max_{j != i} removable_value(i, j, k) for k = 0, 1, 2,
@@ -428,6 +429,7 @@ class PairwiseTracker:
             self.low_cnt = [[0] * (n + 1) for _ in range(n + 1)]
         else:
             self.top2 = [[(0, 0)] * (n + 1) for _ in range(n + 1)]
+            self.size = [0] * (n + 1)                          # size[j] = |A_j|
         self.t = 0
         self.dmax = None      # dmax[k][i] = d_k[i], built by `maxima`
         self.argmax = None    # argmax[k][i]: the first j attaining it when scanned
@@ -531,6 +533,8 @@ class PairwiseTracker:
                     self.top2[i][j] = (v, a)
                 elif v > b:
                     self.top2[i][j] = (a, v)
+        if not self.two_value:
+            self.size[j] += 1
         if self.dmax is not None:
             self._update_maxima(agent)
 
@@ -544,6 +548,9 @@ class PairwiseTracker:
             drop_h = min(k, hc)
             drop_l = min(k - drop_h, lc)
             return full - drop_h * prof.alpha - drop_l * prof.beta
+        if self.size[j] <= k:
+            # full - top - second would leave a float rounding residue
+            return full - full
         a, b = self.top2[i][j]
         return full - a - (b if k == 2 else 0)
 

@@ -366,6 +366,25 @@ def test_pairwise_tracker_matches_direct_metrics(data, draws):
     assert tracker.envy_graph().edges == build_envy_graph(replay, inst).edges
 
 
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 4)])
+def test_report_on_small_interval_bundles_equals_direct_ratios(n, m):
+    """Agents 2..n get every good, at most two each, on arbitrary float
+    values.  A bundle of at most k goods has k-removable value exactly 0 in
+    the ledger too, not a rounding residue, so every EF2 ratio is 1 and agent
+    1's EF/EF1/EF2 (an empty bundle: 0 or 1) equal the direct ratios."""
+    from fairstream.generators import interval_random
+
+    for seed in range(200):
+        inst = interval_random(n, m, seed)
+        state = AllocationState(inst)
+        for t, g in enumerate(inst.goods):
+            state.assign(g, 2 + t % (n - 1))
+        rep = ReportBuilder(inst).report(state)
+        assert rep.ef2 == [1] * n, (seed, rep.ef2)
+        for k, got in enumerate((rep.ef[0], rep.ef1[0], rep.ef2[0])):
+            assert got == efk_ratio_all(state, inst, 1, k), (seed, k, got)
+
+
 def _assert_maxima_direct(tr):
     """The ledger's maxima equal a direct max over j, attained at its argmax,
     and its out-degrees a direct count of the j with `_gt`."""
