@@ -59,7 +59,9 @@ class GoodEvent:
     """One arriving good.
 
     Exactly one of `high` (per-agent high/low flags, 2-value instances) and
-    `values` (per-agent reals, interval-restricted instances) is set.
+    `values` (per-agent reals, interval-restricted instances) is set.  Flags
+    must be `bool`s; anything else raises `ValueError` instead of being
+    coerced.
     """
 
     index: int
@@ -72,7 +74,10 @@ class GoodEvent:
         if (self.high is None) == (self.values is None):
             raise ValueError("exactly one of high / values must be given")
         if self.high is not None:
-            object.__setattr__(self, "high", tuple(bool(b) for b in self.high))
+            high = tuple(self.high)
+            if not all(isinstance(b, bool) for b in high):
+                raise ValueError(f"good {self.index}: high flags must be booleans, got {high!r}")
+            object.__setattr__(self, "high", high)
         else:
             object.__setattr__(self, "values", tuple(self.values))
 

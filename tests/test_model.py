@@ -64,6 +64,14 @@ def test_good_event_validation():
         GoodEvent(0, high=[True])
 
 
+@pytest.mark.parametrize("flags", [(1, 0), (True, 1), (True, "no"), (None,), (1.0,)])
+def test_good_event_rejects_non_bool_flags(flags):
+    """Flags are never coerced: bool("no") would silently read as high."""
+    with pytest.raises(ValueError, match="good 3: high flags must be booleans"):
+        GoodEvent(3, high=flags)
+    assert GoodEvent(3, high=[True, False]).high == (True, False)
+
+
 def _two_value_instance(masks, profiles=((5, 1), (5, 1)), foresight=0):
     agents = [AgentProfile(a, b) for a, b in profiles]
     goods = [GoodEvent(i, high=m) for i, m in enumerate(masks, 1)]
