@@ -431,30 +431,29 @@ class PairwiseTracker:
             self.top2 = [[(0, 0)] * (n + 1) for _ in range(n + 1)]
             self.size = [0] * (n + 1)                          # size[j] = |A_j|
         self.t = 0
-        self.dmax = None      # dmax[k][i] = d_k[i], built by `maxima`
-        self.argmax = None    # argmax[k][i]: the first j attaining it when scanned
-        self.envy_out = None  # envy_out[i] = |{j : i envies j}|
-        self._envies = None   # _envies[i][j]: i envies j
+        self._dmax = None      # _dmax[k][i] = d_k[i], built by `maxima`
+        self._argmax = None    # _argmax[k][i]: a j attaining it
+        self._envy_out = None  # _envy_out[i] = |{j : i envies j}|
+        self._envies = None    # _envies[i][j]: i envies j
 
     def maxima(self):
-        """(dmax, argmax, envy_out), built from `val` on the first call.
+        """(dmax, envy_out), built from `val` on the first call.
 
-        dmax[k][i] = max_{j != i} removable_value(i, j, k), attained at
-        j = argmax[k][i]; envy_out[i] counts the j with `_gt(val[i][j],
-        val[i][i])`.  With one agent dmax is 0 and argmax 0 (no owner).
-        Callers must not mutate them.
+        dmax[k][i] = max_{j != i} removable_value(i, j, k) for k = 0, 1, 2,
+        and envy_out[i] counts the j with `_gt(val[i][j], val[i][i])`.  With
+        one agent dmax is 0.  Callers must not mutate them.
         """
-        if self.dmax is None:
+        if self._dmax is None:
             n = self.n
-            self.dmax = [[0] * (n + 1) for _ in range(3)]
-            self.argmax = [[0] * (n + 1) for _ in range(3)]
-            self.envy_out = [0] * (n + 1)
+            self._dmax = [[0] * (n + 1) for _ in range(3)]
+            self._argmax = [[0] * (n + 1) for _ in range(3)]
+            self._envy_out = [0] * (n + 1)
             self._envies = [[False] * (n + 1) for _ in range(n + 1)]
             for i in range(1, n + 1):
                 for k in range(3):
                     self._rescan(i, k)
                 self._recount(i)
-        return self.dmax, self.argmax, self.envy_out
+        return self._dmax, self._envy_out
 
     def _rescan(self, i: int, k: int):
         best, arg = 0, 0
@@ -463,20 +462,20 @@ class PairwiseTracker:
                 r = self.removable_value(i, j, k)
                 if arg == 0 or r > best:
                     best, arg = r, j
-        self.dmax[k][i] = best
-        self.argmax[k][i] = arg
+        self._dmax[k][i] = best
+        self._argmax[k][i] = arg
 
     def _recount(self, i: int):
         row, env = self.val[i], self._envies[i]
         mine = row[i]
         for j in range(1, self.n + 1):
             env[j] = j != i and row[j] > mine and _gt(row[j], mine)  # _gt implies >
-        self.envy_out[i] = sum(env)
+        self._envy_out[i] = sum(env)
 
     def _update_maxima(self, a: int):
         """Bring the maxima up to date after agent a received a good."""
         val, removable, envies = self.val, self.removable_value, self._envies
-        slots = tuple(zip((0, 1, 2), self.dmax, self.argmax))
+        slots = tuple(zip((0, 1, 2), self._dmax, self._argmax))
         for i in range(1, self.n + 1):
             if i == a:
                 continue
@@ -497,14 +496,14 @@ class PairwiseTracker:
             mine = val[i][i]
             if not envies[i][a] and theirs > mine and _gt(theirs, mine):
                 envies[i][a] = True
-                self.envy_out[i] += 1
+                self._envy_out[i] += 1
         self._recount(a)
 
     def efk_holds(self, i: int, k: int, num=1, den=1) -> bool:
         """`is_efk(i, j, k, num, den)` for every j != i, tested once against
         the largest removable value (`_geq` is monotone in it)."""
         lhs = den * self.val[i][i]
-        rhs = num * (self.dmax or self.maxima()[0])[k][i]
+        rhs = num * (self._dmax or self.maxima()[0])[k][i]
         return lhs >= rhs or _geq(lhs, rhs)  # lhs >= rhs implies _geq
 
     def efk_failures(self, k: int, num=1, den=1) -> list:
@@ -535,7 +534,7 @@ class PairwiseTracker:
                     self.top2[i][j] = (a, v)
         if not self.two_value:
             self.size[j] += 1
-        if self.dmax is not None:
+        if self._dmax is not None:
             self._update_maxima(agent)
 
     def removable_value(self, i: int, j: int, k: int):
@@ -613,7 +612,7 @@ class ReportBuilder:
         """
         n = self.instance.n
         tr = state.pairwise()
-        (d0, d1, d2), _, deg = tr.maxima()
+        (d0, d1, d2), deg = tr.maxima()
         ef, ef1, ef2, prop, mmsv, mmsr = [], [], [], [], [], []
         for i in range(1, n + 1):
             mine = tr.val[i][i]
