@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairstream.generators import interval_random
 from fairstream.metrics import (CycleError, EnvyGraph, PairwiseTracker, ReportBuilder,
                                 _gt, _ratio, build_envy_graph, efk_ratio, efk_ratio_all,
                                 mms_exhaustive, mms_report, mms_two_value, prop_ratio,
@@ -372,8 +373,6 @@ def test_report_on_small_interval_bundles_equals_direct_ratios(n, m):
     values.  A bundle of at most k goods has k-removable value exactly 0 in
     the ledger too, not a rounding residue, so every EF2 ratio is 1 and agent
     1's EF/EF1/EF2 (an empty bundle: 0 or 1) equal the direct ratios."""
-    from fairstream.generators import interval_random
-
     for seed in range(200):
         inst = interval_random(n, m, seed)
         state = AllocationState(inst)

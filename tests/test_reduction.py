@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairstream.baselines import GreedyWelfare
 from fairstream.deferred_priority import DeferredPriority
 from fairstream.driver import run_online
 from fairstream.generators import interval_random
@@ -131,8 +132,6 @@ def test_lift_of_greedy_welfare_on_the_proxy_has_no_false_transfer_violation():
     once made the original EF2 ratio 0 and the transfer check fail (on 21 of
     these 80 runs).  n = 4 is left out: its exhaustive maximin shares take
     seconds."""
-    from fairstream.baselines import GreedyWelfare
-
     for n in (2, 3):
         for seed in range(40):
             pair = threshold_round(interval_random(n, 3 * n, seed))
