@@ -24,7 +24,6 @@ from fractions import Fraction
 
 from .driver import replay_states, run_online
 from .generators import lows_then_highs
-from .metrics import mms_two_value
 from .model import (AgentProfile, AllocationState, Flavor, GoodEvent, Instance,
                     OnlineAlgorithm)
 
@@ -95,9 +94,7 @@ class _AdaptiveRun:
         for i in range(1, self.n + 1):
             own = tr.val[i][i]
             if self.metric == "mms":
-                prof = st.profile(i)
-                h = st.high_seen[i - 1]
-                mu = mms_two_value(h, st.t - h, prof.alpha, prof.beta, self.n)
+                mu = st.maximin_share(i)
                 out.append(Fraction(1) if mu == 0 else min(Fraction(1), Fraction(own, mu)))
             else:
                 # min over j of min(1, own/d_j) is the ratio at the largest d_j
@@ -214,14 +211,12 @@ def mms_adversary(alg: OnlineAlgorithm, n: int) -> AdversaryTrace:
 
 def worst_step_share_ratio(alg: OnlineAlgorithm, instance: Instance) -> Fraction:
     """Run `alg` over a 2-value instance and return the minimum over steps and
-    agents of the exact maximin-share ratio."""
+    agents of the exact maximin-share ratio (shares from the replay's ledger)."""
     worst = Fraction(1)
     for state, _ in replay_states(run_online(alg, instance)):
         val = state.pairwise().val
         for i in range(1, instance.n + 1):
-            prof = instance.agents[i - 1]
-            h = state.high_seen[i - 1]
-            mu = mms_two_value(h, state.t - h, prof.alpha, prof.beta, instance.n)
+            mu = state.maximin_share(i)
             if mu > 0:
                 worst = min(worst, min(Fraction(1), Fraction(val[i][i], mu)))
     return worst

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .driver import Violation, audit_trace
-from .metrics import mms_two_value
+from .metrics import _floor_certified, mms_two_value
 from .model import AgentType, AllocationState, GoodEvent, Instance, OnlineAlgorithm
 
 
@@ -144,6 +144,11 @@ class DeferredPriorityAuditor:
     `share_bounds=True` additionally checks the per-type maximin and
     proportionality floors (exact integer arithmetic on integer instances);
     `strict=True` adds the inactivity and low-good rotation invariants.
+
+    The mms-type1 floor (2n-1) * v >= mu asks the `mms_two_value` oracle,
+    not the ledger, and only when (2n-1) * n * v is below the value seen:
+    mu never exceeds the value seen over n (`_floor_certified`).
+    `oracle_skips` counts the checks that bound settled.
     """
 
     def __init__(self, instance: Instance, share_bounds=False, strict=False):
@@ -153,6 +158,7 @@ class DeferredPriorityAuditor:
         self.share_bounds = share_bounds
         self.strict = strict
         self.violations = []
+        self.oracle_skips = 0
         self._t0_passed = [False] * n
         self._prev_chi = (0,) * n
         self._prev_phase = 0
@@ -263,10 +269,13 @@ class DeferredPriorityAuditor:
                 if 3 * own < mu:
                     self._fail("mms-type3", t, i + 1, f"v={own}, mu={mu}")
             elif kind == AgentType.TYPE1:
-                hs = state.high_seen[i]
-                mu = mms_two_value(hs, t - hs, prof.alpha, prof.beta, n)
-                if (2 * n - 1) * own < mu:
-                    self._fail("mms-type1", t, i + 1, f"v={own}, mu={mu}")
+                if _floor_certified((2 * n - 1) * n * own, self._seen_val[i]):
+                    self.oracle_skips += 1
+                else:
+                    hs = state.high_seen[i]
+                    mu = mms_two_value(hs, t - hs, prof.alpha, prof.beta, n)
+                    if (2 * n - 1) * own < mu:
+                        self._fail("mms-type1", t, i + 1, f"v={own}, mu={mu}")
                 if hr >= 1 and 4 * n * own < self._seen_val[i]:
                     self._fail("prop-quarter", t, i + 1,
                                f"v={own}, seen={self._seen_val[i]}")

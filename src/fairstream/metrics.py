@@ -71,6 +71,19 @@ def _gt(a, b) -> bool:
     return a - b > REL_TOL * max(1.0, abs(a), abs(b))
 
 
+def _floor_certified(lhs, seen) -> bool:
+    """lhs >= seen for certain: exactly on exact values, beyond the REL_TOL
+    margin on floats.
+
+    A maximin share never exceeds the proportional share seen/n, so with
+    lhs = c * n * v a floor check c * v >= mu holds without the oracle
+    whenever this is true; the float margin absorbs the rounding of mu.
+    """
+    if isinstance(lhs, _EXACT) and isinstance(seen, _EXACT):
+        return lhs >= seen
+    return _gt(lhs, seen)
+
+
 def removable_value(state: AllocationState, viewer: int, owner: int, k: int):
     """Value of owner's bundle to `viewer` after removing its k best goods."""
     vals = sorted(
@@ -206,12 +219,22 @@ def _ceil_div(a, b):
     return -(-a // b)
 
 
-def _mms_two_value_fast(h, l, alpha, beta, n):
+def _fast_ok(alpha, beta) -> bool:
+    """True when `_mms_two_value_fast` applies: integer values, beta > 0
+    and beta | alpha."""
+    return isinstance(alpha, int) and isinstance(beta, int) and beta > 0 and alpha % beta == 0
+
+
+def _mms_two_value_fast(h, l, alpha, beta, n, lo=0, hi=None):
     """Binary search on the answer for integer values with beta | alpha.
 
     With beta dividing alpha the per-bundle low-good requirement is a convex
     function of its high count, so spreading highs as evenly as possible
     (after capping useless surplus) minimizes total lows needed.
+
+    The search runs over [lo, hi] (default [0, floor((h*alpha + l*beta)/n)]).
+    Feasibility is monotone in the answer, so any range known to hold the
+    share gives the same result as the full one.
     """
     unit = alpha // beta
 
@@ -228,7 +251,8 @@ def _mms_two_value_fast(h, l, alpha, beta, n):
 
         return (n - r) * lows(q) + r * lows(q + 1) <= l
 
-    lo, hi = 0, (h * alpha + l * beta) // n
+    if hi is None:
+        hi = (h * alpha + l * beta) // n
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if feasible(mid):
@@ -238,8 +262,10 @@ def _mms_two_value_fast(h, l, alpha, beta, n):
     return lo
 
 
-# Distinct (h, l, alpha, beta, n) arguments kept; one n = 16, m = 1000 run with
-# per-step reports needs about 12,400, so long-lived processes stay bounded.
+# Distinct (h, l, alpha, beta, n) arguments kept, so long-lived processes stay
+# bounded.  A run's reports read the ledger's warm shares
+# (`AllocationState.maximin_share`), which come here only for values the fast
+# search does not cover: one argument per agent and step for those agents.
 MMS_CACHE_SIZE = 2 ** 16
 
 
@@ -249,7 +275,7 @@ def _mms_two_value_cached(h, l, alpha, beta, n):
         return 0
     if beta == 0:
         return alpha * (h // n)
-    if isinstance(alpha, int) and isinstance(beta, int) and alpha % beta == 0:
+    if _fast_ok(alpha, beta):
         return _mms_two_value_fast(h, l, alpha, beta, n)
     return _mms_two_value_enumerate(h, l, alpha, beta, n)
 
@@ -269,15 +295,14 @@ def mms_two_value(h: int, l: int, alpha, beta, n: int):
 def mms_share(state: AllocationState, instance: Instance, i: int):
     """Maximin share of agent i over the goods seen so far, or None.
 
-    2-value instances use the exact two-value solver on (highs seen, lows
-    seen).  Interval instances use the exhaustive oracle while t <= 12 and
-    return None beyond that: the oracle is unavailable rather than
-    approximated.
+    2-value instances read the run's ledger (`state.maximin_share`), which
+    equals `mms_two_value` on (highs seen, lows seen) and warm-starts each
+    agent's search from its last share.  Interval instances use the
+    exhaustive oracle while t <= 12 and return None beyond that: the oracle
+    is unavailable rather than approximated.
     """
     if instance.flavor.value == "two_value":
-        h = state.high_seen[i - 1]
-        return mms_two_value(h, state.t - h, instance.agents[i - 1].alpha,
-                             instance.agents[i - 1].beta, state.n)
+        return state.maximin_share(i)
     if state.t > MMS_EXHAUSTIVE_MAX_GOODS:
         return None
     prof = state.profile(i)
@@ -435,6 +460,7 @@ class PairwiseTracker:
         self._argmax = None    # _argmax[k][i]: a j attaining it
         self._envy_out = None  # _envy_out[i] = |{j : i envies j}|
         self._envies = None    # _envies[i][j]: i envies j
+        self._graph, self._graph_t = None, -1  # `envy_graph` at step _graph_t
 
     def maxima(self):
         """(dmax, envy_out), built from `val` on the first call.
@@ -558,12 +584,21 @@ class PairwiseTracker:
         return _geq(den * self.val[i][i], num * self.removable_value(i, j, k))
 
     def envy_graph(self) -> EnvyGraph:
+        """The envy graph of the current bundles, built once per step.
+
+        A round boundary reads it twice on one state (the auditor, then the
+        rule planning the next round), so the graph is kept until the next
+        `observe`.  Callers share it and must not mutate it.
+        """
+        if self._graph_t == self.t:
+            return self._graph
         g = EnvyGraph(self.n)
         for i in range(1, self.n + 1):
             mine = self.val[i][i]
             for j in range(1, self.n + 1):
                 if i != j and _gt(self.val[i][j], mine):
                     g.edges[(i, j)] = self.val[i][j] - mine
+        self._graph, self._graph_t = g, self.t
         return g
 
 
@@ -583,11 +618,6 @@ class FairnessReport:
     mms_value: list
     mms_ratio: list
     envy_out: list
-
-    def rows(self):
-        for i in range(len(self.ef)):
-            yield (self.t, i + 1, self.ef[i], self.ef1[i], self.ef2[i], self.prop[i],
-                   self.mms_value[i], self.mms_ratio[i], self.envy_out[i])
 
 
 class ReportBuilder:
@@ -632,19 +662,27 @@ class ReportBuilder:
 
 
 def _fmt(x) -> str:
+    """CSV text of a report value: a float's repr for a float or a
+    `Fraction`, "" for None, str otherwise.  The report's common values
+    come first: `_ONE` is "1.0", and a `Fraction` is formatted from its int
+    true division, which is correctly rounded and so equals `float(x)`."""
+    if x is _ONE:
+        return "1.0"
+    if isinstance(x, Fraction):
+        return repr(x.numerator / x.denominator)
     if x is None:
         return ""
-    if isinstance(x, Fraction):
-        x = float(x)
     if isinstance(x, float):
         return repr(x)
     return str(x)
 
 
 def report_csv_rows(reports) :
-    """Serialize FairnessReports to CSV rows (header included)."""
+    """Serialize FairnessReports to CSV rows (header included), formatting
+    column by column."""
     out = [",".join(REPORT_COLUMNS)]
     for rep in reports:
-        for row in rep.rows():
-            out.append(",".join(_fmt(v) for v in row))
+        cols = zip(map(_fmt, rep.ef), map(_fmt, rep.ef1), map(_fmt, rep.ef2), map(_fmt, rep.prop),
+                   map(_fmt, rep.mms_value), map(_fmt, rep.mms_ratio), map(str, rep.envy_out))
+        out.extend(f"{rep.t},{i},{','.join(row)}" for i, row in enumerate(cols, 1))
     return out

@@ -184,10 +184,16 @@ class AllocationState:
     one copy and must not mutate it.  `bundle_value`, `own_value` and
     `seen_value` rescan the bundles; they are the direct oracles the ledger
     is tested against.
+
+    On 2-value instances `maximin_share(i)` answers agent i's maximin share
+    of the goods seen so far, warm-started from the agent's last answer.
+    Its per-agent state is allocated on the first read and never touched by
+    `assign`, so a run that never reads shares pays nothing for them.
     """
 
     __slots__ = ("instance", "n", "t", "bundles", "goods_seen", "recipients",
-                 "goods_received", "high_received", "high_seen", "_agents", "_pairwise")
+                 "goods_received", "high_received", "high_seen", "_agents", "_pairwise",
+                 "_mms")
 
     def __init__(self, instance: Instance):
         self.instance = instance
@@ -201,6 +207,7 @@ class AllocationState:
         self.high_received = [0] * self.n
         self.high_seen = [0] * self.n
         self._pairwise = None
+        self._mms = None  # per agent: (h, l, share) of the last read, or None
 
     def profile(self, agent: int) -> AgentProfile:
         return self._agents[agent - 1]
@@ -232,6 +239,37 @@ class AllocationState:
                 tracker.observe(event, agent)
             self._pairwise = tracker
         return self._pairwise
+
+    def maximin_share(self, agent: int):
+        """`mms_two_value(h, t - h, alpha, beta, n)` of `agent` over the goods
+        seen so far, with h its high goods seen (2-value instances only).
+
+        For integer values with beta | alpha the ledger keeps the agent's
+        last answer (h, l, mu) and searches only [mu, min(mu + (h' - h) *
+        alpha + (l' - l) * beta, floor((h' alpha + l' beta) / n))] at new
+        counts (h', l').  That range holds the share: a share never drops
+        when a good arrives, and never rises by more than the value of the
+        goods added.  Other values go to the cached `mms_two_value`.
+        """
+        warm = self._mms
+        if warm is None:
+            if self.instance.flavor is not Flavor.TWO_VALUE:
+                raise ValueError("maximin_share needs a 2-value instance")
+            warm = self._mms = [(0, 0, 0) if _fast_ok(p.alpha, p.beta) else None
+                                for p in self._agents]
+        h = self.high_seen[agent - 1]
+        l = self.t - h
+        last = warm[agent - 1]
+        prof = self._agents[agent - 1]
+        if last is None:
+            return _metrics.mms_two_value(h, l, prof.alpha, prof.beta, self.n)
+        h0, l0, mu = last
+        if h != h0 or l != l0:
+            alpha, beta = prof.alpha, prof.beta
+            hi = min(mu + (h - h0) * alpha + (l - l0) * beta, (h * alpha + l * beta) // self.n)
+            mu = _mms_two_value_fast(h, l, alpha, beta, self.n, mu, hi)
+            warm[agent - 1] = (h, l, mu)
+        return mu
 
     def bundle_value(self, viewer: int, owner: int):
         prof = self._agents[viewer - 1]
@@ -282,5 +320,8 @@ class OnlineAlgorithm:
 
 
 # metrics imports this module, so its tracker is imported once the names above
-# exist; an import inside `pairwise` would cost every run several microseconds
-from .metrics import PairwiseTracker  # noqa: E402
+# exist; an import inside `pairwise` would cost every run several microseconds.
+# `maximin_share` looks `mms_two_value` up on metrics at call time, so a
+# rebinding of `metrics.mms_two_value` reaches the ledger as well.
+from . import metrics as _metrics  # noqa: E402
+from .metrics import PairwiseTracker, _fast_ok, _mms_two_value_fast  # noqa: E402

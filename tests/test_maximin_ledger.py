@@ -1,0 +1,230 @@
+"""Maximin shares in the run's ledger, and the share floors certified
+before the oracle.
+
+`AllocationState.maximin_share` warm-starts each agent's binary search from
+its last share; it must equal the cold `mms_two_value` at every step, however
+far apart the reads are.  The auditors' mms-type1 and mms-round checks ask
+the oracle only when c * n * v falls short of the value seen; the reference
+checks below ask it every time, and both must report the same `Violation`
+records in the same order.
+"""
+import dataclasses
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fairstream.deferred_priority as dp_module
+import fairstream.matching as matching_module
+from fairstream.deferred_priority import DeferredPriority, DeferredPriorityAuditor
+from fairstream.driver import Trace, Violation, audit_trace, replay_states, run_online
+from fairstream.generators import interval_random, random_two_value
+from fairstream.matching import PriorityMatching, PriorityMatchingAuditor
+from fairstream.metrics import _mms_two_value_fast, mms_two_value
+from fairstream.model import AgentProfile, AgentType, AllocationState, GoodEvent, Instance
+
+# (profile, largest n): the enumerating solver (beta does not divide alpha,
+# or float values) is kept to small n
+PROFILES = [((5, 1), 8), ((2, 1), 8), ((1, 1), 8), ((1, 0), 8), ((0, 0), 4), ((3, 2), 3),
+            ((2.5, 1.0), 3)]
+
+
+class ShareReader:
+    """Observer that reads every agent's ledger share every `every` steps
+    and compares it with the cold oracle."""
+
+    def __init__(self, instance, every):
+        self.instance = instance
+        self.every = every
+        self.reads = 0
+
+    def observe(self, state, good, agent, extras):
+        if state.t % self.every:
+            return
+        for i, prof in enumerate(self.instance.agents, 1):
+            h = state.high_seen[i - 1]
+            want = mms_two_value(h, state.t - h, prof.alpha, prof.beta, state.n)
+            got = state.maximin_share(i)
+            assert got == want and type(got) is type(want), (state.t, i, got, want)
+            self.reads += 1
+
+
+@pytest.mark.parametrize("profile, n_max", PROFILES)
+@pytest.mark.parametrize("every", [1, 7, 40])
+def test_ledger_share_equals_oracle(profile, n_max, every):
+    for n in sorted({1, 2, n_max}):
+        for seed in range(3):
+            m = 150 if n_max > 3 else 40
+            inst = random_two_value(n, m, seed, bias=0.2 + 0.2 * seed, profiles=[profile] * n)
+            reader = ShareReader(inst, every)
+            run_online(DeferredPriority(), inst, auditors=[reader])
+            assert reader.reads == n * (m // every)
+
+
+def test_ledger_share_on_mixed_profiles_and_repeated_reads():
+    inst = random_two_value(8, 200, 11, profiles=[p for p, _ in PROFILES[:5]] + [(6, 3)] * 3)
+    state = AllocationState(inst)
+    rng = random.Random(5)
+    for g in inst.goods:
+        state.assign(g, rng.randrange(1, 9))
+        if rng.random() < 0.3:
+            for i in rng.sample(range(1, 9), 3):
+                h = state.high_seen[i - 1]
+                prof = inst.agents[i - 1]
+                want = mms_two_value(h, state.t - h, prof.alpha, prof.beta, 8)
+                assert state.maximin_share(i) == want
+                assert state.maximin_share(i) == want  # a second read at the same t
+
+
+def test_ledger_share_needs_a_two_value_instance():
+    state = AllocationState(interval_random(2, 4, 0))
+    with pytest.raises(ValueError, match="2-value"):
+        state.maximin_share(1)
+
+
+@given(st.integers(0, 40), st.integers(0, 40), st.sampled_from([(5, 1), (2, 1), (1, 1), (6, 2)]),
+       st.integers(1, 6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_fast_search_on_any_range_holding_the_share(h, l, pair, n, data):
+    alpha, beta = pair
+    mu = _mms_two_value_fast(h, l, alpha, beta, n)
+    assert mu == mms_two_value(h, l, alpha, beta, n)
+    lo = data.draw(st.integers(0, mu))
+    hi = data.draw(st.integers(mu, (h * alpha + l * beta) // n))
+    assert _mms_two_value_fast(h, l, alpha, beta, n, lo, hi) == mu
+
+
+# ---------------------------------------------------------------------------
+# certified floors
+# ---------------------------------------------------------------------------
+
+
+class CountingOracle:
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return mms_two_value(*args)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count the auditors' oracle calls."""
+    oracle = CountingOracle()
+    monkeypatch.setattr(dp_module, "mms_two_value", oracle)
+    monkeypatch.setattr(matching_module, "mms_two_value", oracle)
+    return oracle
+
+
+def reference_type1(trace):
+    """mms-type1 over every step and type-1 agent, asking the oracle every time."""
+    inst, n = trace.instance, trace.instance.n
+    out = []
+    for state, _ in replay_states(trace):
+        for i, prof in enumerate(inst.agents, 1):
+            if prof.kind != AgentType.TYPE1:
+                continue
+            hr, gr = state.high_received[i - 1], state.goods_received[i - 1]
+            own = hr * prof.alpha + (gr - hr) * prof.beta
+            hs = state.high_seen[i - 1]
+            mu = mms_two_value(hs, state.t - hs, prof.alpha, prof.beta, n)
+            if (2 * n - 1) * own < mu:
+                out.append(Violation("mms-type1", state.t, i, f"v={own}, mu={mu}"))
+    return out
+
+
+def reference_round(trace):
+    """mms-round at every round boundary, asking the oracle every time."""
+    inst, n = trace.instance, trace.instance.n
+    out = []
+    for state, _ in replay_states(trace):
+        if state.t % n:
+            continue
+        own = state.pairwise().val
+        for i, prof in enumerate(inst.agents, 1):
+            hs = state.high_seen[i - 1]
+            mu = mms_two_value(hs, state.t - hs, prof.alpha, prof.beta, n)
+            if n * own[i][i] < mu:
+                out.append(Violation("mms-round", state.t, i, f"mu={mu}"))
+    return out
+
+
+def hoard(trace, keeper, seed):
+    """Give most goods to `keeper`, leaving a random few where they were."""
+    rng = random.Random(seed)
+    steps = [s if rng.random() < 0.2 else dataclasses.replace(s, agent=keeper)
+             for s in trace.steps]
+    return Trace(trace.instance, steps)
+
+
+FLOOR_PROFILES = [None, [(5, 1), (2, 1)], [(2.5, 1.0), (7.5, 0.5)], [(6, 1), (6, 1)]]
+
+
+@pytest.mark.parametrize("profiles", FLOOR_PROFILES)
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_type1_floor_guard_keeps_every_verdict(profiles, n, counted):
+    found = 0
+    for seed in range(4):
+        inst = random_two_value(n, 60, seed, profiles=profiles)
+        trace = run_online(DeferredPriority(), inst)
+        for tr in (trace, hoard(trace, 1 + seed % n, seed)):
+            want = reference_type1(tr)
+            counted.calls = 0
+            auditor = DeferredPriorityAuditor(inst, share_bounds=True)
+            got = [v for v in audit_trace(tr, auditor) if v.check == "mms-type1"]
+            assert got == want
+            type1 = sum(p.kind == AgentType.TYPE1 for p in inst.agents)
+            assert counted.calls + auditor.oracle_skips == type1 * len(tr.steps)
+            found += len(want)
+    assert found, "the hoarded traces should break some type-1 floor"
+
+
+@pytest.mark.parametrize("profiles", FLOOR_PROFILES)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_round_floor_guard_keeps_every_verdict(profiles, n, counted):
+    found = 0
+    for seed in range(4):
+        inst = random_two_value(n, 12 * n, seed, profiles=profiles, foresight=n - 1)
+        trace = run_online(PriorityMatching(), inst)
+        for tr in (trace, hoard(trace, 1 + seed % n, seed)):
+            want = reference_round(tr)
+            counted.calls = 0
+            auditor = PriorityMatchingAuditor(inst)
+            got = [v for v in audit_trace(tr, auditor) if v.check == "mms-round"]
+            assert got == want
+            assert counted.calls + auditor.oracle_skips == n * (len(tr.steps) // n)
+            found += len(want)
+    assert found, "the hoarded traces should break some round floor"
+
+
+def test_type1_floor_consults_the_oracle_below_the_bound(counted):
+    """Two (5, 1)-agents, eight universally low goods; agent 1 keeps only
+    the first (c = 3).  Up to t = 6 the bound 3 * 2 * 1 >= t settles it
+    (t = 6 with equality), at t = 7 the oracle is asked and passes
+    (3 * 1 >= mu = 3), at t = 8 it fails."""
+    inst = Instance([AgentProfile(5, 1)] * 2, [GoodEvent(t, high=(False, False))
+                                               for t in range(1, 9)])
+    steps = [dataclasses.replace(s, agent=1 if s.t == 1 else 2)
+             for s in run_online(DeferredPriority(), inst).steps]
+    trace = Trace(inst, steps)
+    auditor = DeferredPriorityAuditor(trace.instance, share_bounds=True)
+    violations = [v for v in audit_trace(trace, auditor) if v.check == "mms-type1"]
+    assert violations == [Violation("mms-type1", 8, 1, "v=1, mu=4")]
+    # agent 1 is asked at t = 7 and 8, agent 2 (holding nothing) at t = 1
+    assert counted.calls == 3 and auditor.oracle_skips == 2 * 8 - 3
+
+
+def test_round_floor_consults_the_oracle_below_the_bound(counted):
+    """n = 2, c = 2, one high and one low good for both agents: the agent
+    holding the low good has 2 * 2 * 1 < 6, so the oracle is asked and
+    passes (2 * 1 >= mu = 1); the other is settled by 2 * 2 * 5 >= 6."""
+    agents = [AgentProfile(5, 1)] * 2
+    goods = [GoodEvent(1, high=(True, True)), GoodEvent(2, high=(False, False))]
+    inst = Instance(agents, goods, foresight=1)
+    trace = run_online(PriorityMatching(), inst)
+    auditor = PriorityMatchingAuditor(inst)
+    assert [v for v in audit_trace(trace, auditor) if v.check == "mms-round"] == []
+    assert counted.calls == 1 and auditor.oracle_skips == 1
+
