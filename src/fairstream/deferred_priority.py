@@ -40,6 +40,8 @@ class PriorityState:
     low: int = 0
     high: int = 0
     t: int = 0
+    # per agent (alpha == beta, alpha > 0), derived by `dp_step` on first use
+    views: list | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def fresh(cls, n: int) -> "PriorityState":
@@ -66,38 +68,40 @@ def dp_step(ps: PriorityState, g: GoodEvent, agents) -> int:
 
     An agent is *active* while chi is 0; inactive agents receive nothing for
     the rest of the phase.  Ties in both argmins break lexicographically.
-    A flat-value agent (alpha == beta) sees every good as high-valued.
+    A flat-value agent (alpha == beta) sees every good as high-valued; a
+    high good bumps H only for alpha > 0, so a (0, 0) agent's L moves.
+    Those two per-agent facts are read from `agents` once per stream.
     """
     n = ps.n
     H, L, chi = ps.H, ps.L, ps.chi
     ps.t += 1
-    mask = g.high
-    hi_members = []
-    lo_members = []
-    for i in range(n):
-        prof = agents[i]
-        flat = prof.alpha == prof.beta
-        is_high = mask[i] or flat
-        if is_high and prof.alpha > 0:
-            H[i] -= 1
+    views = ps.views
+    if views is None:
+        views = ps.views = [(p.alpha == p.beta, p.alpha > 0) for p in agents]
+    hi_members = []  # active agents who see the good high, in index order
+    for i, high, inactive, (flat, positive) in zip(range(n), g.high, chi, views):
+        if high or flat:
+            if positive:
+                H[i] -= 1
+            else:
+                L[i] -= 1
+            if not inactive:
+                hi_members.append(i)
         else:
             L[i] -= 1
-        if not chi[i]:
-            if is_high:
-                hi_members.append(i)
-            if flat or not mask[i]:
-                lo_members.append(i)
 
     if hi_members:
         ps.high += 1
-        j = min(hi_members, key=lambda i: (H[i], i))
+        j = min(hi_members, key=H.__getitem__)  # first minimum: lowest index
         H[j] += 3 * n - 2
         chi[j] = 1
     else:
+        # nobody active sees the good high, so every active agent sees it low
+        lo_members = [i for i, inactive in enumerate(chi) if not inactive]
         if not lo_members:
             raise RuntimeError("no eligible recipient: phase accounting is broken")
         ps.low += 1
-        j = min(lo_members, key=lambda i: (L[i], i))
+        j = min(lo_members, key=L.__getitem__)
         L[j] = 2 * n + ps.t
         if ps.phase == 0:
             chi[j] = 1
@@ -107,9 +111,8 @@ def dp_step(ps: PriorityState, g: GoodEvent, agents) -> int:
         ps.phase += 1
         ps.low = 0
         ps.high = 0
-        for i in range(n):
-            L[i] = 2 * n - 1
-            chi[i] = 0  # activity is per-phase
+        L[:] = [2 * n - 1] * n
+        chi[:] = [0] * n  # activity is per-phase
 
     return j + 1
 

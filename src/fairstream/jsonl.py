@@ -11,6 +11,8 @@ instances or ``{"values": [real, ...]}`` for interval-restricted ones.
 The loader is strict at this boundary: flags must be JSON booleans, values
 and alphas finite JSON numbers, foresight a JSON integer; any other input
 raises `InstanceFormatError` naming the offending line (blank lines count).
+`read_instance` parses a file one line at a time, so only the instance, not
+the file's text, is held in memory.
 """
 from __future__ import annotations
 
@@ -48,10 +50,18 @@ def _good(obj, idx: int, line: int, flavor: Flavor) -> GoodEvent:
 
 
 def loads_instance(text: str) -> Instance:
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines:
+    return _parse_lines(text.splitlines())
+
+
+def _parse_lines(raw_lines) -> Instance:
+    """Parse an instance from an iterable of its lines, one at a time, so a
+    file is never held whole.  Line numbers in errors count every line,
+    blank ones included."""
+    lines = ((no, ln) for no, ln in enumerate(raw_lines, 1) if ln.strip())
+    first = next(lines, None)
+    if first is None:
         raise InstanceFormatError(1, "empty instance file")
-    head, text0 = lines[0]
+    head, text0 = first
     try:
         header = json.loads(text0)
     except json.JSONDecodeError as e:
@@ -80,7 +90,7 @@ def loads_instance(text: str) -> Instance:
     except ValueError as e:
         raise InstanceFormatError(head, str(e)) from e
 
-    for lineno, ln in lines[1:]:
+    for lineno, ln in lines:
         try:
             obj = json.loads(ln)
         except json.JSONDecodeError as e:
@@ -112,7 +122,8 @@ def dumps_instance(instance: Instance) -> str:
 
 def read_instance(path) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_instance(fh.read())
+        # without its newline a line's JSON errors read as in `loads_instance`
+        return _parse_lines(ln.rstrip("\n") for ln in fh)
 
 
 def write_instance(instance: Instance, path):

@@ -235,19 +235,21 @@ class PriorityMatching(OnlineAlgorithm):
         self.n = n
         self.agents = list(agents)
         self.plan = None
+        self.committed = ""
 
     def choose(self, state, good, window):
         t = state.t + 1
         if (t - 1) % self.n == 0:
             goods = [good] + list(window[: self.n - 1])
-            self.plan = plan_round(state.pairwise().envy_graph(), self.agents, goods,
-                                   (t - 1) // self.n + 1)
+            plan = self.plan = plan_round(state.pairwise().envy_graph(), self.agents, goods,
+                                          (t - 1) // self.n + 1)
+            # the same for every step of the round
+            self.committed = ";".join(f"{g}:{a}" for g, a in sorted(plan.assignment.items()))
         return self.plan.agent_for(good.index)
 
     def snapshot(self):
         plan = self.plan
-        committed = ";".join(f"{g}:{a}" for g, a in sorted(plan.assignment.items()))
-        return {"round": plan.round_index, "pi": plan.pi, "committed": committed}
+        return {"round": plan.round_index, "pi": plan.pi, "committed": self.committed}
 
 
 # ---------------------------------------------------------------------------

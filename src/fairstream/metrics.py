@@ -57,10 +57,12 @@ def _ratio(num, den):
     The exact path compares first and builds one `Fraction` only for a
     ratio below 1; a ratio of at least 1 is `_ONE`.
     """
-    if den <= 0:
-        return _ONE if _is_exact(num) and _is_exact(den) else 1.0
-    if _is_exact(num) and _is_exact(den):
+    if isinstance(num, _EXACT) and isinstance(den, _EXACT):  # _is_exact, inlined: hot
+        if den <= 0:
+            return _ONE
         return Fraction(num, den) if num < den else _ONE
+    if den <= 0:
+        return 1.0
     return min(1.0, num / den)
 
 
@@ -452,6 +454,8 @@ class PairwiseTracker:
         if self.two_value:
             self.high_cnt = [[0] * (n + 1) for _ in range(n + 1)]
             self.low_cnt = [[0] * (n + 1) for _ in range(n + 1)]
+            self._views = [(p.alpha == p.beta, p.alpha > 0, p.alpha, p.beta)
+                           for p in instance.agents]
         else:
             self.top2 = [[(0, 0)] * (n + 1) for _ in range(n + 1)]
             self.size = [0] * (n + 1)                          # size[j] = |A_j|
@@ -540,25 +544,32 @@ class PairwiseTracker:
                 for j in range(1, self.n + 1) if j != i and not self.is_efk(i, j, k, num, den)]
 
     def observe(self, good, agent: int):
+        """Add a good received by `agent`: one pass over every agent's view
+        of it, with no `value` call per agent."""
         self.t += 1
-        ag = self.instance.agents
         j = agent
-        for i in range(1, self.n + 1):
-            v = value(ag[i - 1], good, i)
-            self.seen_total[i] += v
-            self.val[i][j] += v
-            if self.two_value:
-                if v == ag[i - 1].alpha and ag[i - 1].alpha > 0:
-                    self.high_cnt[i][j] += 1
+        seen, val = self.seen_total, self.val
+        if self.two_value:
+            high_cnt, low_cnt = self.high_cnt, self.low_cnt
+            for i, high, (flat, positive, alpha, beta) in zip(range(1, self.n + 1), good.high,
+                                                              self._views):
+                v = alpha if high else beta
+                seen[i] += v
+                val[i][j] += v
+                if (high or flat) and positive:  # `value(...) == alpha > 0`
+                    high_cnt[i][j] += 1
                 else:
-                    self.low_cnt[i][j] += 1
-            else:
-                a, b = self.top2[i][j]
+                    low_cnt[i][j] += 1
+        else:
+            top2 = self.top2
+            for i, v in enumerate(good.values, 1):
+                seen[i] += v
+                val[i][j] += v
+                a, b = top2[i][j]
                 if v >= a:
-                    self.top2[i][j] = (v, a)
+                    top2[i][j] = (v, a)
                 elif v > b:
-                    self.top2[i][j] = (a, v)
-        if not self.two_value:
+                    top2[i][j] = (a, v)
             self.size[j] += 1
         if self._dmax is not None:
             self._update_maxima(agent)

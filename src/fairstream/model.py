@@ -8,6 +8,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from itertools import compress
 
 
 class AgentType(enum.IntEnum):
@@ -192,8 +193,8 @@ class AllocationState:
     """
 
     __slots__ = ("instance", "n", "t", "bundles", "goods_seen", "recipients",
-                 "goods_received", "high_received", "high_seen", "_agents", "_pairwise",
-                 "_mms")
+                 "goods_received", "high_received", "high_seen", "_agents", "_flat",
+                 "_alphas", "_pairwise", "_mms")
 
     def __init__(self, instance: Instance):
         self.instance = instance
@@ -206,6 +207,8 @@ class AllocationState:
         self.goods_received = [0] * self.n
         self.high_received = [0] * self.n
         self.high_seen = [0] * self.n
+        self._flat = [p.alpha == p.beta for p in self._agents]  # sees every good high
+        self._alphas = [p.alpha for p in self._agents]
         self._pairwise = None
         self._mms = None  # per agent: (h, l, share) of the last read, or None
 
@@ -223,10 +226,15 @@ class AllocationState:
         self.recipients.append(agent)
         self.bundles[agent - 1].append(event.index)
         self.goods_received[agent - 1] += 1
-        for i in range(1, self.n + 1):
-            if sees_high(self._agents[i - 1], event, i):
-                self.high_seen[i - 1] += 1
-        if sees_high(self._agents[agent - 1], event, agent):
+        # every agent's `sees_high`, in one pass over the good
+        if event.high is not None:
+            view = [h or f for h, f in zip(event.high, self._flat)]
+        else:
+            view = [v == a for v, a in zip(event.values, self._alphas)]
+        seen = self.high_seen
+        for i in compress(range(self.n), view):
+            seen[i] += 1
+        if view[agent - 1]:
             self.high_received[agent - 1] += 1
         if self._pairwise is not None:
             self._pairwise.observe(event, agent)
@@ -249,7 +257,9 @@ class AllocationState:
         alpha + (l' - l) * beta, floor((h' alpha + l' beta) / n))] at new
         counts (h', l').  That range holds the share: a share never drops
         when a good arrives, and never rises by more than the value of the
-        goods added.  Other values go to the cached `mms_two_value`.
+        goods added.  An agent with alpha = 0 has share 0 and one with beta
+        = 0 has alpha * floor(h / n), answered directly with the oracle's
+        value and type; other values go to the cached `mms_two_value`.
         """
         warm = self._mms
         if warm is None:
@@ -262,7 +272,12 @@ class AllocationState:
         last = warm[agent - 1]
         prof = self._agents[agent - 1]
         if last is None:
-            return _metrics.mms_two_value(h, l, prof.alpha, prof.beta, self.n)
+            alpha, beta = prof.alpha, prof.beta
+            if alpha == 0:
+                return 0
+            if beta == 0:
+                return alpha * (h // self.n)
+            return _metrics.mms_two_value(h, l, alpha, beta, self.n)
         h0, l0, mu = last
         if h != h0 or l != l0:
             alpha, beta = prof.alpha, prof.beta

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import fairstream.deferred_priority as dp_module
 import fairstream.matching as matching_module
+import fairstream.metrics as metrics_module
 from fairstream.deferred_priority import DeferredPriority, DeferredPriorityAuditor
 from fairstream.driver import Trace, Violation, audit_trace, replay_states, run_online
 from fairstream.generators import interval_random, random_two_value
@@ -26,8 +27,8 @@ from fairstream.model import AgentProfile, AgentType, AllocationState, GoodEvent
 
 # (profile, largest n): the enumerating solver (beta does not divide alpha,
 # or float values) is kept to small n
-PROFILES = [((5, 1), 8), ((2, 1), 8), ((1, 1), 8), ((1, 0), 8), ((0, 0), 4), ((3, 2), 3),
-            ((2.5, 1.0), 3)]
+PROFILES = [((5, 1), 8), ((2, 1), 8), ((1, 1), 8), ((1, 0), 8), ((4, 0), 8), ((0, 0), 4),
+            ((2.5, 0.0), 8), ((3, 2), 3), ((2.5, 1.0), 3)]
 
 
 class ShareReader:
@@ -75,6 +76,21 @@ def test_ledger_share_on_mixed_profiles_and_repeated_reads():
                 want = mms_two_value(h, state.t - h, prof.alpha, prof.beta, 8)
                 assert state.maximin_share(i) == want
                 assert state.maximin_share(i) == want  # a second read at the same t
+
+
+@pytest.mark.parametrize("profile", [(1, 0), (4, 0), (0, 0), (2.5, 0.0), (0.0, 0.0)])
+def test_zero_value_shares_skip_the_oracle(profile, monkeypatch):
+    """alpha = 0 gives share 0 and beta = 0 gives alpha * floor(h / n),
+    answered by the ledger itself with the oracle's value and type."""
+    inst = random_two_value(5, 80, 3, profiles=[profile] * 5)
+    trace = run_online(DeferredPriority(), inst)
+    want = [mms_two_value(s.high_seen[0], s.t - s.high_seen[0], *profile, 5)
+            for s, _ in replay_states(trace)]
+    oracle = CountingOracle()
+    monkeypatch.setattr(metrics_module, "mms_two_value", oracle)
+    got = [s.maximin_share(1) for s, _ in replay_states(trace)]
+    assert got == want and [type(x) for x in got] == [type(x) for x in want]
+    assert oracle.calls == 0
 
 
 def test_ledger_share_needs_a_two_value_instance():

@@ -1,5 +1,7 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from fairstream.baselines import GreedyWelfare, RoundRobin
 from fairstream.deferred_priority import DeferredPriority
 from fairstream.driver import run_online, trace_csv_rows
 from fairstream.generators import random_two_value
-from fairstream.jsonl import InstanceFormatError, dumps_instance, loads_instance
+from fairstream.jsonl import InstanceFormatError, dumps_instance, loads_instance, read_instance
 from fairstream.matching import NaiveMatching, PriorityMatching
 from fairstream.model import (AgentProfile, AgentType, AllocationState, Flavor,
                               GoodEvent, Instance, OnlineAlgorithm, bundle_value,
@@ -181,6 +183,44 @@ def test_loads_instance_yields_instance_or_format_error(text):
         entries = g.high if inst.flavor is Flavor.TWO_VALUE else g.values
         assert all(isinstance(e, bool) if inst.flavor is Flavor.TWO_VALUE
                    else not isinstance(e, bool) and math.isfinite(e) for e in entries)
+
+
+def _load(load, arg):
+    try:
+        return load(arg)
+    except InstanceFormatError as e:
+        return ("error", e.line, str(e))
+
+
+@given(_instance_texts(), st.lists(st.integers(0, 6), max_size=4),
+       st.sampled_from(["\n", "\r\n"]), st.tuples(st.integers(0, 5), st.integers(0, 3)))
+@settings(max_examples=200, deadline=None)
+def test_read_instance_matches_loads_instance_line_for_line(text, blanks, newline, cut):
+    """The file reader parses line by line; its instance or its error (with
+    the line number, blank lines counted, and the JSON error's position)
+    equals `loads_instance`'s."""
+    lines = text.split("\n")
+    at, chars = cut
+    if at < len(lines) and chars:
+        lines[at] = lines[at][:-chars]  # truncated JSON fails at the line's end
+    for pos in blanks:
+        lines.insert(min(pos, len(lines)), " " if pos % 2 else "")
+    text = newline.join(lines)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "inst.jsonl"
+        path.write_bytes(text.encode())
+        assert _load(read_instance, path) == _load(loads_instance, text)
+
+
+def test_read_instance_names_a_late_line_after_blank_ones(tmp_path):
+    inst = random_two_value(2, 50, seed=3)
+    lines = dumps_instance(inst).splitlines()
+    lines[40] = '{"high": [true, 1]}'
+    path = tmp_path / "inst.jsonl"
+    path.write_text("\n\n" + "\n".join(lines) + "\n\n")
+    with pytest.raises(InstanceFormatError, match="^line 43: good 40: high flags") as e:
+        read_instance(path)
+    assert e.value.line == 43
 
 
 ALL_ALGS = [DeferredPriority, RoundRobin, GreedyWelfare, NaiveMatching, PriorityMatching]
