@@ -27,8 +27,8 @@ from fairstream.model import AgentProfile, AgentType, AllocationState, GoodEvent
 
 # (profile, largest n): the enumerating solver (beta does not divide alpha,
 # or float values) is kept to small n
-PROFILES = [((5, 1), 8), ((2, 1), 8), ((1, 1), 8), ((1, 0), 8), ((4, 0), 8), ((0, 0), 4),
-            ((2.5, 0.0), 8), ((3, 2), 3), ((2.5, 1.0), 3)]
+PROFILES = [((5, 1), 8), ((2, 1), 8), ((1, 1), 8), ((1, 0), 8), ((0, 0), 4), ((3, 2), 3),
+            ((2.5, 1.0), 3), ((4, 0), 8), ((2.5, 0.0), 8)]
 
 
 class ShareReader:
