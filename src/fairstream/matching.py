@@ -33,7 +33,7 @@ from .assignment import max_weight_assignment, priority_assignment
 from .driver import Violation, audit_trace, replay_states
 from .metrics import (CycleError, build_envy_graph, mms_two_value, topo_sort, _floor_certified,
                       _is_exact, REL_TOL)
-from .model import AllocationState, GoodEvent, Instance, OnlineAlgorithm, sees_high
+from .model import AllocationState, GoodEvent, Instance, OnlineAlgorithm
 
 # ---------------------------------------------------------------------------
 # the two-agent pattern table
@@ -165,6 +165,23 @@ class RoundPlan:
         return self.assignment[good_index]
 
 
+def _high_masks(agents, goods) -> list:
+    """Each agent's `sees_high` over `goods` as a bitmask (bit c: goods[c]).
+
+    `sees_high` inlined: a 2-value good is high for an agent whose flag is
+    set or whose alpha == beta, a value good for one whose value is alpha.
+    """
+    masks = []
+    for a, p in enumerate(agents):
+        flat = p.alpha == p.beta
+        mask = 0
+        for c, g in enumerate(goods):
+            if (g.high[a] or flat) if g.high is not None else g.values[a] == p.alpha:
+                mask |= 1 << c
+        masks.append(mask)
+    return masks
+
+
 def aux_weight_matrix(pi, agents, goods):
     """Auxiliary weights of one round, scaled by (2n)^(n-1) to integers.
 
@@ -175,11 +192,10 @@ def aux_weight_matrix(pi, agents, goods):
     """
     n = len(agents)
     rows = []
-    for a in range(1, n + 1):
+    for a, mask in enumerate(_high_masks(agents, goods), 1):
         i = pi[a - 1]
         factor = (2 * n + 1) ** (n - i) * (2 * n) ** (i - 1)
-        rows.append([2 * factor if sees_high(agents[a - 1], g, a) else factor
-                     for g in goods])
+        rows.append([2 * factor if mask >> c & 1 else factor for c in range(len(goods))])
     return rows
 
 
@@ -197,14 +213,8 @@ def plan_round(graph, agents, goods, round_index: int) -> RoundPlan:
         raise RuntimeError(f"cyclic envy graph at a round boundary: {e.cycle}") from e
     n = len(agents)
     if len(goods) == n:
-        high = []
-        for a, prof in enumerate(agents, 1):
-            mask = 0
-            for c, g in enumerate(goods):
-                if sees_high(prof, g, a):
-                    mask |= 1 << c
-            high.append(mask)
-        cols = priority_assignment(high, sorted(range(n), key=pi.__getitem__))
+        cols = priority_assignment(_high_masks(agents, goods),
+                                   sorted(range(n), key=pi.__getitem__))
     else:
         cols = max_weight_assignment(aux_weight_matrix(pi, agents, goods), len(goods))
     assignment = {}

@@ -25,8 +25,11 @@ scanned over j for witnesses.
 
 Two independent maximin-share oracles are provided:
 
-* `mms_exhaustive` enumerates assignments of up to 12 goods to n bundles with
-  pruning, for arbitrary additive values;
+* `mms_exhaustive` searches assignments of up to 12 goods to n bundles by
+  branch and bound, for arbitrary additive values: an LPT incumbent, a bound
+  on what the remaining goods can lift, and symmetry breaks on equal bundle
+  sums and runs of equal goods.  Each is exact on floats too, so a float
+  share is one assignment's sum to the last bit;
 * `mms_two_value` solves the two-distinct-values case exactly at any scale by
   enumerating high-good distributions and water-filling the identical low
   goods (with a fast closed feasibility test when the low value divides the
@@ -129,11 +132,27 @@ MMS_EXHAUSTIVE_MAX_GOODS = 12
 
 
 def mms_exhaustive(values, n: int):
-    """Exact maximin share by enumerating bundle assignments (<= 12 goods).
+    """Exact maximin share by branch and bound over bundle assignments
+    (<= 12 goods).
 
     Bundles may be empty, so the result is 0 whenever len(values) < n and all
-    values are positive.  Prunes branches that cannot beat the incumbent and
-    skips assignments into bundles with identical current sums.
+    values are positive.  Goods are placed in descending order and every
+    bundle sum is the left fold of its goods in that order, so a float share
+    is the sum of one assignment to the last bit, whatever is pruned.
+
+    * Incumbent: LPT (each good onto the first minimal bundle) builds the
+      same folds, so the search starts from one of its own leaf values.
+    * Bounds: a branch is cut when its smallest bundle plus every remaining
+      good cannot beat the incumbent, or when the bundles at or below the
+      incumbent need more than the remaining goods to all rise strictly
+      above it.  The need is best + 1 - s per bundle on integers and best - s
+      on other values; on floats it must exceed the remaining value beyond
+      the REL_TOL margin, so no branch that could win by a rounding error is
+      cut.
+    * Symmetry: a good goes to one bundle of each distinct current sum, and
+      a good equal to the previous one only to that good's bundle or a later
+      one.  Swapping bundles of equal sum, or equal goods, leaves every fold
+      unchanged, so no distinct leaf is lost.
     """
     vals = sorted(values, reverse=True)
     m = len(vals)
@@ -146,14 +165,20 @@ def mms_exhaustive(values, n: int):
     if m < n or not vals:
         return 0 if all(_is_exact(v) for v in vals) else 0.0
     exact = all(_is_exact(v) for v in vals)
+    integral = all(isinstance(v, int) for v in vals)
 
     suffix = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] + vals[i]
+    # tie[i]: goods i and i + 1 are equal, so i + 1 goes to a bundle >= i's
+    tie = [vals[i] == vals[i + 1] for i in range(m - 1)] + [False]
     sums = [0] * n
-    best = 0
+    for v in vals:  # LPT: each good onto the first minimal bundle
+        sums[sums.index(min(sums))] += v
+    best = max(0, min(sums))  # the integer 0 unless LPT beats it, as at a leaf
+    sums = [0] * n
 
-    def rec(idx):
+    def rec(idx, lo):
         nonlocal best
         if idx == m:
             cur = min(sums)
@@ -161,25 +186,33 @@ def mms_exhaustive(values, n: int):
                 best = cur
             return
         rem = suffix[idx]
-        if min(sums) + rem <= best:
+        low = min(sums)
+        if low + rem <= best:
             return
-        if exact:
-            # lows needed to push every bundle strictly above the incumbent
-            need = sum(best + 1 - s for s in sums if s <= best)
-            if need > rem:
-                return
+        if low <= best:
+            # each bundle at or below the incumbent must rise strictly above it
+            if integral:  # by at least best + 1 - s on integers
+                if sum(best + 1 - s for s in sums if s <= best) > rem:
+                    return
+            else:
+                need = 0
+                for s in sums:
+                    if s <= best:
+                        need += best - s
+                # on floats _gt(need, rem), inlined: hot (both are >= 0)
+                if need >= rem if exact else need - rem > REL_TOL * max(1.0, need, rem):
+                    return
         v = vals[idx]
-        seen = set()
-        for b in range(n):
+        run = tie[idx]
+        for b in range(lo, n):
             s = sums[b]
-            if s in seen:
+            if sums.index(s, lo) < b:  # a bundle tried before has this sum
                 continue
-            seen.add(s)
             sums[b] = s + v
-            rec(idx + 1)
+            rec(idx + 1, b if run else 0)
             sums[b] = s
 
-    rec(0)
+    rec(0, 0)
     return best if exact else float(best)
 
 
@@ -268,10 +301,11 @@ def _mms_two_value_fast(h, l, alpha, beta, n, lo=0, hi=None):
 # bounded.  A run's reports read the ledger's warm shares
 # (`AllocationState.maximin_share`), which come here only for values the fast
 # search does not cover: one argument per agent and step for those agents.
+# Typed, so an integer profile never gets the float share of an equal one.
 MMS_CACHE_SIZE = 2 ** 16
 
 
-@lru_cache(maxsize=MMS_CACHE_SIZE)
+@lru_cache(maxsize=MMS_CACHE_SIZE, typed=True)
 def _mms_two_value_cached(h, l, alpha, beta, n):
     if alpha == 0:
         return 0

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,11 +8,13 @@ from hypothesis import strategies as st
 
 from fairstream.generators import interval_random
 from fairstream.metrics import (CycleError, EnvyGraph, PairwiseTracker, ReportBuilder,
-                                _gt, _ratio, build_envy_graph, efk_ratio, efk_ratio_all,
-                                mms_exhaustive, mms_report, mms_two_value, prop_ratio,
-                                report_csv_rows, topo_sort)
+                                _gt, _is_exact, _mms_two_value_cached, _ratio,
+                                build_envy_graph, efk_ratio, efk_ratio_all, mms_exhaustive,
+                                mms_report, mms_two_value, prop_ratio, report_csv_rows,
+                                topo_sort)
 from fairstream.model import (AgentProfile, AllocationState, Flavor, GoodEvent,
                               Instance)
+from fairstream.reduction import threshold_round
 
 
 def _state(profiles, masks, owners):
@@ -84,6 +88,29 @@ def test_mms_exhaustive_examples():
         mms_exhaustive([1] * 13, 2)
     with pytest.raises(ValueError):
         mms_exhaustive([1], 0)
+
+
+def test_mms_exhaustive_fractions_prune_without_integer_steps():
+    # three bundles of two thirds each; an integer-step bound would cut them all
+    mu = mms_exhaustive([Fraction(1, 3)] * 6, 3)
+    assert mu == Fraction(2, 3) and type(mu) is Fraction
+    assert mms_exhaustive([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), 1], 2) == 1
+
+
+def test_mms_exhaustive_finds_a_share_a_rounding_step_above_the_lpt_incumbent():
+    # LPT gives {1, b, b} / {1, b}, minimum 1 + b; {1, 1} / {b, b, b} is 1e-12 better
+    b = (1.0 + 1e-12) / 2
+    vals = [1.0, 1.0, b, b, b]
+    assert mms_exhaustive(vals, 2) == mms_brute_force(vals, 2) == b + b + b > 1.0 + b
+
+
+def test_mms_cache_keeps_integer_and_float_profiles_apart():
+    for order in (((2, 1), (2.0, 1.0)), ((2.0, 1.0), (2, 1))):
+        _mms_two_value_cached.cache_clear()
+        for alpha, beta in order:
+            mu = mms_two_value(4, 2, alpha, beta, 2)
+            assert mu == 5 and type(mu) is type(alpha)
+    _mms_two_value_cached.cache_clear()
 
 
 def test_mms_two_value_examples():
@@ -195,6 +222,110 @@ def test_mms_oracles_agree(h, l, pair, n):
 def test_mms_monotone_in_bundle_count(h, l, pair, n):
     alpha, beta = pair
     assert mms_two_value(h, l, alpha, beta, n + 1) <= mms_two_value(h, l, alpha, beta, n)
+
+
+def mms_brute_force(values, n):
+    """Maximin share over every labelling of the goods with bundles, unpruned.
+
+    Each bundle is summed in descending order of value, as `mms_exhaustive`
+    sums it, so float results agree to the last bit; a share of 0 is the
+    integer 0 (0.0 on floats), as there.
+    """
+    vals = sorted(values, reverse=True)
+    best = 0
+    for labels in itertools.product(range(n), repeat=len(vals)):
+        sums = [0] * n
+        for v, b in zip(vals, labels):
+            sums[b] += v
+        if min(sums) > best:
+            best = min(sums)
+    return best if all(_is_exact(v) for v in vals) else float(best)
+
+
+def mms_exhaustive_reference(values, n):
+    """`mms_exhaustive` before its LPT incumbent, float bound and equal-value
+    runs: the incumbent starts at 0 and only equal bundle sums are skipped.
+
+    Its integer-step bound also runs on `Fraction`s, where it is wrong, so it
+    is an oracle on floats and integers only.
+    """
+    vals = sorted(values, reverse=True)
+    m = len(vals)
+    if m < n or not vals:
+        return 0 if all(_is_exact(v) for v in vals) else 0.0
+    exact = all(_is_exact(v) for v in vals)
+    suffix = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + vals[i]
+    sums = [0] * n
+    best = 0
+
+    def rec(idx):
+        nonlocal best
+        if idx == m:
+            cur = min(sums)
+            if cur > best:
+                best = cur
+            return
+        rem = suffix[idx]
+        if min(sums) + rem <= best:
+            return
+        if exact and sum(best + 1 - s for s in sums if s <= best) > rem:
+            return
+        seen = set()
+        for b in range(n):
+            s = sums[b]
+            if s in seen:
+                continue
+            seen.add(s)
+            sums[b] = s + vals[idx]
+            rec(idx + 1)
+            sums[b] = s
+
+    rec(0)
+    return best if exact else float(best)
+
+
+@st.composite
+def mms_cases(draw):
+    """Up to 8 goods for 1 to 4 bundles: integers with zeros and repeats,
+    `Fraction`s, proxy-shaped (alpha, sqrt(alpha)) floats or uniform floats."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["int", "fraction", "proxy", "float"]))
+    if kind == "int":
+        entry = st.integers(0, 6)
+    elif kind == "fraction":
+        entry = st.fractions(0, 4, max_denominator=6)
+    elif kind == "proxy":
+        alpha = draw(st.floats(2.0, 25.0))
+        entry = st.sampled_from([alpha, math.sqrt(alpha)])
+    else:
+        entry = st.floats(0.0, 25.0)
+    return draw(st.lists(entry, min_size=m, max_size=m)), n
+
+
+@given(mms_cases())
+@settings(max_examples=400, deadline=None)
+def test_mms_exhaustive_equals_brute_force(case):
+    values, n = case
+    got, want = mms_exhaustive(values, n), mms_brute_force(values, n)
+    assert got == want and type(got) is type(want)
+
+
+def test_mms_exhaustive_equals_the_unpruned_search_on_long_prefixes():
+    # 9 to 12 goods: beyond brute force, within the old search
+    for seed in range(6):
+        for n in (2, 3, 4):
+            pair = threshold_round(interval_random(n, 12, seed, alphas=[25.0, 9.0, 4.5, 16.0][:n]))
+            for i in range(n):
+                prof = pair.proxy.agents[i]
+                orig = [g.values[i] for g in pair.original.goods]
+                prox = [prof.alpha if g.high[i] else prof.beta for g in pair.proxy.goods]
+                for t in range(9, 13):
+                    for vals in (orig[:t], prox[:t]):
+                        got, want = mms_exhaustive(vals, n), mms_exhaustive_reference(vals, n)
+                        assert got == want and type(got) is float
 
 
 float_pairs = st.sampled_from([(2.5, 1), (5, 1.5), (2.5, 2.5), (1.5, 0), (0.0, 0.0)])

@@ -1,8 +1,10 @@
-"""The per-step loops that read every agent's view of a good at once.
+"""The loops that read every agent's view of a good at once.
 
 `dp_step`, `AllocationState.assign` and `PairwiseTracker.observe` each read
 per-agent flags derived once per run (alpha == beta, alpha > 0) instead of
-asking `sees_high` or `value` once per agent.  Each is compared here with
+asking `sees_high` or `value` once per agent; `plan_round` and
+`aux_weight_matrix` build a round's high masks the same way, once per
+round.  Each is compared here with
 the direct oracles on mixed profiles: flat, (0, 0), beta = 0, float and
 integer 2-value agents, and float and integer-valued interval streams,
 where a value can equal alpha.  `dp_step_reference` is the per-agent loop
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairstream.deferred_priority import PriorityState, dp_step
+from fairstream.matching import _high_masks, aux_weight_matrix
 from fairstream.metrics import PairwiseTracker
 from fairstream.model import (AgentProfile, AllocationState, Flavor, GoodEvent, Instance,
                               sees_high, value)
@@ -165,3 +168,20 @@ def test_tracker_tallies_match_direct_sums(run):
                     assert tracker.top2[i][j] == (top[0], top[1])
         if not tracker.two_value:
             assert tracker.size[1:] == [len(b) for b in bundles[1:]]
+
+
+@given(runs(), st.integers(1, 9))
+@settings(max_examples=300, deadline=None)
+def test_round_masks_match_sees_high(run, width):
+    inst, _ = run
+    n, agents = inst.n, inst.agents
+    pi = list(range(n, 0, -1))
+    for start in range(0, len(inst.goods), width):
+        goods = inst.goods[start:start + width]
+        masks = [sum(1 << c for c, g in enumerate(goods) if sees_high(p, g, a))
+                 for a, p in enumerate(agents, 1)]
+        assert _high_masks(agents, goods) == masks
+        weights = aux_weight_matrix(pi, agents, goods)
+        for a, (row, mask) in enumerate(zip(weights, masks), 1):
+            factor = (2 * n + 1) ** (n - pi[a - 1]) * (2 * n) ** (pi[a - 1] - 1)
+            assert row == [2 * factor if mask >> c & 1 else factor for c in range(len(goods))]
