@@ -3,8 +3,8 @@
 `dp_step`, `AllocationState.assign` and `PairwiseTracker.observe` each read
 per-agent flags derived once per run (alpha == beta, alpha > 0) instead of
 asking `sees_high` or `value` once per agent; `plan_round` and
-`aux_weight_matrix` build a round's high masks the same way, once per
-round.  Each is compared here with
+`aux_weight_matrix` build a round's high masks with `sees_high` inlined.
+Each is compared here with
 the direct oracles on mixed profiles: flat, (0, 0), beta = 0, float and
 integer 2-value agents, and float and integer-valued interval streams,
 where a value can equal alpha.  `dp_step_reference` is the per-agent loop
