@@ -104,17 +104,15 @@ def cmd_run(args) -> int:
         if factory is not None:
             auditors.append(factory(inst))
 
-    builder = ReportBuilder(inst)
+    report = ReportBuilder(inst).report
     reports = []
-    n = inst.n
+    n, m, gran = inst.n, inst.m, args.granularity
 
     class _Reporter:
         def observe(self, state, good, agent, extras):
             t = state.t
-            if args.granularity == "step" or \
-               (args.granularity == "round" and t % n == 0) or \
-               (args.granularity == "final" and t == inst.m):
-                reports.append(builder.report(state))
+            if gran == "step" or (gran == "round" and t % n == 0) or (gran == "final" and t == m):
+                reports.append(report(state))
 
     trace = run_online(alg, inst, auditors=auditors + [_Reporter()])
 

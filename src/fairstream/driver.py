@@ -93,7 +93,7 @@ def audit_trace(trace: Trace, auditor) -> list:
 
 
 def _join(vec) -> str:
-    return ";".join(str(int(v) if isinstance(v, bool) else v) for v in vec)
+    return ";".join([("1" if v else "0") if v.__class__ is bool else str(v) for v in vec])
 
 
 def trace_csv_rows(trace: Trace, columns=None):
@@ -104,7 +104,7 @@ def trace_csv_rows(trace: Trace, columns=None):
         columns = tuple(keys)
     out = [",".join(TRACE_CORE_COLUMNS + tuple(columns))]
     for s in trace.steps:
-        row = [str(s.t), str(s.good), str(s.agent), str(int(s.as_high))]
+        row = [str(s.t), str(s.good), str(s.agent), "1" if s.as_high else "0"]
         for col in columns:
             v = s.extras.get(col, "")
             row.append(_join(v) if isinstance(v, (list, tuple)) else str(v))

@@ -2,8 +2,10 @@
 
 Ratios are clamped to [0, 1] and computed exactly (as `Fraction`) whenever the
 underlying values are integers; float-valued instances fall back to float
-arithmetic with a 1e-9 relative tolerance on comparisons.  A `Fraction` is
-built only for a ratio below 1; a ratio of at least 1 is the shared `_ONE`.
+arithmetic with a 1e-9 relative tolerance on comparisons.  A ratio of at least
+1 is the shared `_ONE`.  A per-step `FairnessReport` keeps the ledger's
+numbers and gives its ratios on demand; `report_csv_rows` writes a ratio of
+two integers as text straight from their true division, with no `Fraction`.
 
 Per-step reports use one identity: for a fixed agent i the numerator
 v_i(A_i) is the same against every other agent j, so
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .model import AllocationState, Instance, value
+from .model import AllocationState, Flavor, Instance, value
 
 REL_TOL = 1e-9
 
@@ -90,13 +92,24 @@ def _floor_certified(lhs, seen) -> bool:
 
 
 def removable_value(state: AllocationState, viewer: int, owner: int, k: int):
-    """Value of owner's bundle to `viewer` after removing its k best goods."""
-    vals = sorted(
-        (value(state.profile(viewer), state.goods_seen[idx - 1], viewer)
-         for idx in state.bundles[owner - 1]),
-        reverse=True,
-    )
-    return sum(vals[k:]) if k < len(vals) else 0
+    """Value of owner's bundle to `viewer` after removing its k best goods.
+
+    Summed in the ledger's order (`PairwiseTracker.removable_value` on
+    interval values): the bundle folded in arrival order, minus its largest
+    good and, for k = 2, its second largest.  A bundle of at most k goods
+    gives full - full (0, or 0.0 on floats), never a rounding residue.
+    """
+    prof = state.profile(viewer)
+    vals = [value(prof, state.goods_seen[idx - 1], viewer) for idx in state.bundles[owner - 1]]
+    full = 0
+    for v in vals:  # not `sum`, which compensates float rounding on Python >= 3.12
+        full += v
+    if k == 0:
+        return full
+    if len(vals) <= k:
+        return full - full
+    top = sorted(vals, reverse=True)
+    return full - top[0] - (top[1] if k == 2 else 0)
 
 
 def efk_ratio(state: AllocationState, instance: Instance, i: int, j: int, k: int):
@@ -250,10 +263,6 @@ def _mms_two_value_enumerate(h, l, alpha, beta, n):
     return best
 
 
-def _ceil_div(a, b):
-    return -(-a // b)
-
-
 def _fast_ok(alpha, beta) -> bool:
     """True when `_mms_two_value_fast` applies: integer values, beta > 0
     and beta | alpha."""
@@ -267,30 +276,21 @@ def _mms_two_value_fast(h, l, alpha, beta, n, lo=0, hi=None):
     function of its high count, so spreading highs as evenly as possible
     (after capping useless surplus) minimizes total lows needed.
 
-    The search runs over [lo, hi] (default [0, floor((h*alpha + l*beta)/n)]).
-    Feasibility is monotone in the answer, so any range known to hold the
-    share gives the same result as the full one.
+    The search runs over [lo, hi] (default [0, floor((h*alpha + l*beta)/n)]),
+    with lo >= 0.  Feasibility is monotone in the answer, so any range known
+    to hold the share gives the same result as the full one.
     """
     unit = alpha // beta
-
-    def feasible(lam):
-        if lam <= 0:
-            return True
-        k_cap = _ceil_div(lam, alpha)
-        hh = min(h, n * k_cap)
-        q, r = divmod(hh, n)
-        m0 = _ceil_div(lam, beta)
-
-        def lows(k):
-            return max(0, m0 - k * unit)
-
-        return (n - r) * lows(q) + r * lows(q + 1) <= l
-
     if hi is None:
         hi = (h * alpha + l * beta) // n
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if feasible(mid):
+        # feasible(mid), inlined: hot.  The highs, capped at ceil(mid / alpha)
+        # per bundle and spread evenly, leave q or q + 1 per bundle; a bundle
+        # of k highs needs max(0, ceil(mid / beta) - k * unit) lows.
+        q, r = divmod(min(h, n * -(-mid // alpha)), n)
+        need = -(-mid // beta) - q * unit
+        if need <= 0 or (n - r) * need + (r * (need - unit) if need > unit else 0) <= l:
             lo = mid
         else:
             hi = mid - 1
@@ -337,7 +337,7 @@ def mms_share(state: AllocationState, instance: Instance, i: int):
     exhaustive oracle while t <= 12 and return None beyond that: the oracle
     is unavailable rather than approximated.
     """
-    if instance.flavor.value == "two_value":
+    if instance.flavor is Flavor.TWO_VALUE:
         return state.maximin_share(i)
     if state.t > MMS_EXHAUSTIVE_MAX_GOODS:
         return None
@@ -653,16 +653,50 @@ REPORT_COLUMNS = ("t", "agent", "ef", "ef1", "ef2", "prop", "mms_value", "mms_ra
 
 @dataclass
 class FairnessReport:
-    """Per-step, per-agent fairness ratios for one time step."""
+    """One time step's report: the ledger's quantities, copied once, with the
+    per-agent ratios computed from them on demand.
+
+    Lists run over agents 1..n: `own` holds v_i(A_i), `d0`/`d1`/`d2` the
+    largest k = 0/1/2 removable value of another bundle to agent i, `seen`
+    v_i(goods seen), `mms_value` the maximin share (or None) and `envy_out`
+    the envy out-degree.  `ef`, `ef1`, `ef2`, `prop` and `mms_ratio` are
+    clamped `_ratio`s: exact on integers, float otherwise.  With n = 1 the
+    EFk ratios are `_ONE` (nothing to envy).
+    """
 
     t: int
-    ef: list
-    ef1: list
-    ef2: list
-    prop: list
+    own: list
+    d0: list
+    d1: list
+    d2: list
+    seen: list
     mms_value: list
-    mms_ratio: list
     envy_out: list
+
+    def _efk(self, dmax):
+        return [_ONE] if len(self.own) == 1 else list(map(_ratio, self.own, dmax))
+
+    @property
+    def ef(self):
+        return self._efk(self.d0)
+
+    @property
+    def ef1(self):
+        return self._efk(self.d1)
+
+    @property
+    def ef2(self):
+        return self._efk(self.d2)
+
+    @property
+    def prop(self):
+        n = len(self.own)
+        return [_ratio(n * mine, seen) for mine, seen in zip(self.own, self.seen)]
+
+    @property
+    def mms_ratio(self):
+        return [None if mu is None else _ratio(mine, mu)
+                for mine, mu in zip(self.own, self.mms_value)]
 
 
 class ReportBuilder:
@@ -672,45 +706,41 @@ class ReportBuilder:
         self.instance = instance
 
     def report(self, state: AllocationState) -> FairnessReport:
-        """Every agent's ratios after the goods `state` has seen, read from
-        `state.pairwise()` and its per-viewer maxima (`maxima`, built on the
-        first report and kept current by the ledger after that).
+        """Every agent's ledger quantities after the goods `state` has seen,
+        read from `state.pairwise()` and its per-viewer maxima (`maxima`,
+        built on the first report and kept current by the ledger after that).
 
         For agent i the numerator v_i(A_i) is the same against every j, so
         min_j min(1, v_i(A_i)/d_j) = min(1, v_i(A_i)/max_j d_j), where a
         denominator d <= 0 counts as ratio 1 (on floats too, since rounded
-        division is monotone).  EF, EF1 and EF2 are therefore one `_ratio`
-        each against the ledger's largest k = 0, 1, 2 removable value, the
-        envy out-degree is the ledger's count, and a report is O(n) plus the
-        maximin lookups.  A `Fraction` is built only for a reported ratio
-        below 1.  With n = 1 the ratios are `_ONE` (nothing to envy).
+        division is monotone).  A report therefore keeps v_i(A_i), the
+        ledger's largest k = 0, 1, 2 removable values and seen totals, the
+        envy out-degrees and the maximin shares: O(n) copies plus the
+        maximin lookups.  No ratio is computed here; the report's properties
+        give them exactly on demand, and `report_csv_rows` writes them as
+        text.
         """
         n = self.instance.n
         tr = state.pairwise()
         (d0, d1, d2), deg = tr.maxima()
-        ef, ef1, ef2, prop, mmsv, mmsr = [], [], [], [], [], []
-        for i in range(1, n + 1):
-            mine = tr.val[i][i]
-            if n > 1:
-                ef.append(_ratio(mine, d0[i]))
-                ef1.append(_ratio(mine, d1[i]))
-                ef2.append(_ratio(mine, d2[i]))
-            else:
-                ef.append(_ONE)
-                ef1.append(_ONE)
-                ef2.append(_ONE)
-            prop.append(_ratio(n * mine, tr.seen_total[i]))
-            mu = mms_share(state, self.instance, i)
-            mmsv.append(mu)
-            mmsr.append(None if mu is None else _ratio(mine, mu))
-        return FairnessReport(state.t, ef, ef1, ef2, prop, mmsv, mmsr, deg[1:])
+        val = tr.val
+        if self.instance.flavor is Flavor.TWO_VALUE:
+            share = state.maximin_share
+            mmsv = [share(i) for i in range(1, n + 1)]
+        else:
+            mmsv = [mms_share(state, self.instance, i) for i in range(1, n + 1)]
+        return FairnessReport(state.t, [val[i][i] for i in range(1, n + 1)], d0[1:], d1[1:],
+                              d2[1:], tr.seen_total[1:], mmsv, deg[1:])
 
 
 def _fmt(x) -> str:
     """CSV text of a report value: a float's repr for a float or a
     `Fraction`, "" for None, str otherwise.  The report's common values
-    come first: `_ONE` is "1.0", and a `Fraction` is formatted from its int
-    true division, which is correctly rounded and so equals `float(x)`."""
+    come first: an int share, `_ONE` as "1.0", and a `Fraction` formatted
+    from its int true division, which is correctly rounded and so equals
+    `float(x)`."""
+    if x.__class__ is int:
+        return str(x)
     if x is _ONE:
         return "1.0"
     if isinstance(x, Fraction):
@@ -722,12 +752,25 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def report_csv_rows(reports) :
-    """Serialize FairnessReports to CSV rows (header included), formatting
-    column by column."""
+def _ratio_text(num, den) -> str:
+    """`_fmt(_ratio(num, den))` with no `Fraction` built on two ints: int true
+    division is correctly rounded, so num / den equals float(Fraction(num,
+    den))."""
+    if num.__class__ is int and den.__class__ is int:
+        return "1.0" if den <= 0 or num >= den else repr(num / den)
+    return _fmt(_ratio(num, den))
+
+
+def report_csv_rows(reports):
+    """Serialize FairnessReports to CSV rows (header included), writing each
+    ratio's text from the report's ledger quantities (`_ratio_text`)."""
     out = [",".join(REPORT_COLUMNS)]
+    text = _ratio_text
     for rep in reports:
-        cols = zip(map(_fmt, rep.ef), map(_fmt, rep.ef1), map(_fmt, rep.ef2), map(_fmt, rep.prop),
-                   map(_fmt, rep.mms_value), map(_fmt, rep.mms_ratio), map(str, rep.envy_out))
-        out.extend(f"{rep.t},{i},{','.join(row)}" for i, row in enumerate(cols, 1))
+        n = len(rep.own)
+        for i, (mine, a, b, c, seen, mu, deg) in enumerate(
+                zip(rep.own, rep.d0, rep.d1, rep.d2, rep.seen, rep.mms_value, rep.envy_out), 1):
+            mms = "," if mu is None else f"{_fmt(mu)},{text(mine, mu)}"
+            out.append(f"{rep.t},{i},{text(mine, a)},{text(mine, b)},{text(mine, c)},"
+                       f"{text(n * mine, seen)},{mms},{deg}")
     return out

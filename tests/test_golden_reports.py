@@ -33,6 +33,8 @@ CASES = {
                              "--n", "8", "--m", "64", "--seed", "5", "--foresight", "7"],
     "naive-matching-n2": ["--alg", "naive-matching", "--gen", "random-2value",
                           "--n", "2", "--m", "40", "--seed", "6", "--foresight", "1"],
+    "round-robin-n1-float": ["--alg", "round-robin", "--gen", "random-2value",
+                             "--n", "1", "--m", "60", "--profiles", "2.5:1"],
     "round-robin-n5-float-zero": ["--alg", "round-robin", "--gen", "random-2value",
                                   "--n", "5", "--m", "60", "--seed", "7",
                                   "--profiles", "2.5:1,5:1.5,1:1,1:0,0:0"],

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -498,6 +499,24 @@ def test_pairwise_tracker_matches_direct_metrics(data, draws):
     assert tracker.envy_graph().edges == build_envy_graph(replay, inst).edges
 
 
+def test_direct_removable_value_sums_in_the_ledger_order():
+    """On arbitrary float interval values the direct function and the ledger
+    agree to the last bit (and in type) for every (i, j, k): both fold the
+    bundle in arrival order and then subtract its best goods."""
+    from fairstream.metrics import removable_value
+
+    for seed in range(200):
+        inst = interval_random(3, 10, seed)
+        rng = random.Random(seed)
+        state = AllocationState(inst)
+        for g in inst.goods:
+            state.assign(g, rng.randint(1, 3))
+        tr = state.pairwise()
+        for i, j, k in itertools.product((1, 2, 3), (1, 2, 3), (0, 1, 2)):
+            got, want = removable_value(state, i, j, k), tr.removable_value(i, j, k)
+            assert got == want and type(got) is type(want), (seed, i, j, k, got, want)
+
+
 @pytest.mark.parametrize("n, m", [(2, 2), (3, 4)])
 def test_report_on_small_interval_bundles_equals_direct_ratios(n, m):
     """Agents 2..n get every good, at most two each, on arbitrary float
@@ -544,6 +563,23 @@ def test_ledger_maxima_equal_direct_max_and_count(data, draws):
         if replay.t > first_read:
             _assert_maxima_direct(replay.pairwise())
     _assert_maxima_direct(replay.pairwise())
+
+
+def test_ledger_maximum_rescans_when_its_argmax_drops_by_rounding():
+    """Near 2**53 a float removable value can go down when a good arrives.
+    At t = 5 agent 2's EF2 maximum, attained on agent 1's bundle, drops by
+    rounding from 0.0 to -2.0 while agent 3's bundle stays at 0: the maximum
+    must be rescanned over j, not overwritten with the new value."""
+    big = 2.0 ** 53
+    inst = Instance(agents=[AgentProfile(2.0 ** 55, 1.0)] * 3, flavor=Flavor.INTERVAL,
+                    goods=[GoodEvent(t, values=v) for t, v in enumerate(
+                        [(big + 2, 3 * big, big + 2), (3, 7, big + 2), (7, 3, 7),
+                         (1, big + 2, 2), (3 * big, 2, 1.5 * big)], 1)])
+    state = AllocationState(inst)
+    _assert_maxima_direct(state.pairwise())
+    for g, owner in zip(inst.goods, (1, 3, 2, 1, 1)):
+        state.assign(g, owner)
+        _assert_maxima_direct(state.pairwise())
 
 
 def test_efk_holds_keeps_the_float_tolerance():
