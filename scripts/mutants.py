@@ -58,6 +58,26 @@ MUTANTS = [
         "                   for idx in state.bundles[owner - 1]], reverse=True)\n",
         ["tests/test_metrics.py"],
     ),
+    # the interval -> proxy lift computes every ratio but never checks the
+    # sqrt(alpha) transfer
+    (
+        "lift-transfer-silenced",
+        "fairstream/reduction.py",
+        "                if float(oo[name]) < float(pr) / scale - _EQ_RTOL:\n",
+        "                if False:\n",
+        ["tests/test_reduction.py"],
+    ),
+    # a ledger built before a step is never fed the goods assigned after it
+    (
+        "assign-no-ledger-feed",
+        "fairstream/model.py",
+        """        if self._pairwise is not None:
+            self._pairwise.observe(event, agent)
+""",
+        "",
+        ["tests/test_golden_lift.py", "tests/test_maximin_ledger.py",
+         "tests/test_golden_reports.py"],
+    ),
 ]
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .driver import Violation, audit_trace
 from .metrics import _floor_certified, mms_two_value
-from .model import AgentType, AllocationState, GoodEvent, Instance, OnlineAlgorithm
+from .model import AgentType, AllocationState, GoodEvent, Instance, OnlineAlgorithm, sees_high
 
 
 @dataclass
@@ -136,10 +136,6 @@ class DeferredPriority(OnlineAlgorithm):
                 "chi": tuple(ps.chi)}
 
 
-def _is_high_for(prof, good, i0: int) -> bool:
-    return good.high[i0] or prof.alpha == prof.beta
-
-
 class DeferredPriorityAuditor:
     """Streaming verifier for the structural and share guarantees above.
 
@@ -151,7 +147,8 @@ class DeferredPriorityAuditor:
     The mms-type1 floor (2n-1) * v >= mu asks the `mms_two_value` oracle,
     not the ledger, and only when (2n-1) * n * v is below the value seen:
     mu never exceeds the value seen over n (`_floor_certified`).
-    `oracle_skips` counts the checks that bound settled.
+    `oracle_skips` counts the checks that bound settled.  The value seen is
+    read from the ledger (`state.pairwise().seen_total`).
     """
 
     def __init__(self, instance: Instance, share_bounds=False, strict=False):
@@ -168,9 +165,7 @@ class DeferredPriorityAuditor:
         self._phase_steps = 0
         self._last_low = [None] * n  # step of the last low receipt this phase
         self._last_state = None
-        if share_bounds:
-            self._kinds = [p.kind for p in instance.agents]
-            self._seen_val = [0] * n
+        self._kinds = [p.kind for p in instance.agents]
         self._m = instance.m
 
     def _fail(self, check, t, agent, detail):
@@ -230,7 +225,7 @@ class DeferredPriorityAuditor:
         if self.strict:
             self._check_rotation(state, good, agent, t, transitioned)
         if self.share_bounds:
-            self._check_shares(state, good, t)
+            self._check_shares(state, t)
 
         self._prev_chi = extras["chi"]
         self._prev_phase = phase
@@ -239,7 +234,7 @@ class DeferredPriorityAuditor:
         if self._prev_chi[agent - 1]:
             self._fail("inactive-receipt", t, agent, "recipient was inactive")
         prof = self.instance.agents[agent - 1]
-        if not _is_high_for(prof, good, agent - 1):
+        if not sees_high(prof, good, agent):
             prev = self._last_low[agent - 1]
             if prev is not None:
                 for j in range(self.n):
@@ -254,11 +249,11 @@ class DeferredPriorityAuditor:
         if transitioned:
             self._last_low = [None] * self.n
 
-    def _check_shares(self, state, good, t):
+    def _check_shares(self, state, t):
         n = self.n
+        seen_total = state.pairwise().seen_total
         for i in range(n):
             prof = self.instance.agents[i]
-            self._seen_val[i] += prof.alpha if _is_high_for(prof, good, i) else prof.beta
             kind = self._kinds[i]
             hr = state.high_received[i]
             gr = state.goods_received[i]
@@ -272,16 +267,16 @@ class DeferredPriorityAuditor:
                 if 3 * own < mu:
                     self._fail("mms-type3", t, i + 1, f"v={own}, mu={mu}")
             elif kind == AgentType.TYPE1:
-                if _floor_certified((2 * n - 1) * n * own, self._seen_val[i]):
+                seen = seen_total[i + 1]
+                if _floor_certified((2 * n - 1) * n * own, seen):
                     self.oracle_skips += 1
                 else:
                     hs = state.high_seen[i]
                     mu = mms_two_value(hs, t - hs, prof.alpha, prof.beta, n)
                     if (2 * n - 1) * own < mu:
                         self._fail("mms-type1", t, i + 1, f"v={own}, mu={mu}")
-                if hr >= 1 and 4 * n * own < self._seen_val[i]:
-                    self._fail("prop-quarter", t, i + 1,
-                               f"v={own}, seen={self._seen_val[i]}")
+                if hr >= 1 and 4 * n * own < seen:
+                    self._fail("prop-quarter", t, i + 1, f"v={own}, seen={seen}")
 
     def finish(self):
         if self._m < self.n and self._last_state is not None:

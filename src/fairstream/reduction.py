@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .metrics import (MMS_EXHAUSTIVE_MAX_GOODS, PairwiseTracker, _ratio,
-                      mms_exhaustive, mms_two_value)
+from .driver import Trace, replay_states
+from .metrics import _ratio, mms_exhaustive, mms_share, mms_two_value
 from .model import AgentProfile, Flavor, GoodEvent, Instance, value
 
 _EQ_RTOL = 1e-9
@@ -86,22 +86,20 @@ def lift_guarantee(pair: ThresholdProxy, trace) -> list:
 
     For every step, agent and metric (ef, ef1, ef2, prop, mms) asserts
     original_ratio >= proxy_ratio / sqrt(alpha_i) up to 1e-9, and that the
-    original maximin share never exceeds the proxy one (both sides checked by
-    the exhaustive oracle on prefixes of at most 12 goods).  Returns the
-    per-step lifted report rows."""
+    original maximin share never exceeds the proxy one.  The trace is
+    replayed on both instances (`replay_states`) and every ratio reads the
+    replay's ledger.  Shares exist on prefixes of at most 12 goods: the
+    original's is `mms_share`, the proxy's the exhaustive oracle checked
+    against `mms_two_value`.  Returns the per-step lifted report rows."""
     if trace.instance != pair.proxy:
         raise ValueError("trace was not produced on this proxy instance")
     orig, prox = pair.original, pair.proxy
     n = orig.n
-    tr_orig = PairwiseTracker(orig)
-    tr_prox = PairwiseTracker(prox)
     out = []
-    mms_possible = True
-    for step in trace.steps:
+    for (so, step), (sp, _) in zip(replay_states(Trace(orig, trace.steps)),
+                                   replay_states(trace)):
         t = step.t
-        tr_orig.observe(orig.goods[t - 1], step.agent)
-        tr_prox.observe(prox.goods[t - 1], step.agent)
-        mms_possible = mms_possible and t <= MMS_EXHAUSTIVE_MAX_GOODS
+        tr_orig, tr_prox = so.pairwise(), sp.pairwise()
         for i in range(1, n + 1):
             scale = pair.thresholds[i - 1]
             po, oo = {}, {}
@@ -112,13 +110,11 @@ def lift_guarantee(pair: ThresholdProxy, trace) -> list:
                                 for j in range(1, n + 1) if j != i), default=1.0)
             po["prop"] = _ratio(n * tr_prox.val[i][i], tr_prox.seen_total[i])
             oo["prop"] = _ratio(n * tr_orig.val[i][i], tr_orig.seen_total[i])
-            if mms_possible:
+            mu_o = mms_share(so, orig, i)
+            if mu_o is not None:
                 prof_p = prox.agents[i - 1]
-                vals_orig = [orig.goods[s].values[i - 1] for s in range(t)]
-                vals_prox = [value(prof_p, prox.goods[s], i) for s in range(t)]
-                mu_o = mms_exhaustive(vals_orig, n)
-                mu_p = mms_exhaustive(vals_prox, n)
-                h = sum(1 for s in range(t) if prox.goods[s].high[i - 1])
+                mu_p = mms_exhaustive([value(prof_p, g, i) for g in sp.goods_seen], n)
+                h = sp.high_seen[i - 1]
                 mu_p2 = mms_two_value(h, t - h, prof_p.alpha, prof_p.beta, n)
                 if abs(mu_p - mu_p2) > _EQ_RTOL * max(1.0, mu_p):
                     raise AssertionError(

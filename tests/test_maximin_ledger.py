@@ -6,7 +6,9 @@ its last share; it must equal the cold `mms_two_value` at every step, however
 far apart the reads are.  The auditors' mms-type1 and mms-round checks ask
 the oracle only when c * n * v falls short of the value seen; the reference
 checks below ask it every time, and both must report the same `Violation`
-records in the same order.
+records in the same order.  The deferred-priority auditor reads the value
+seen from the ledger, so its prop-quarter records are compared with a
+reference that adds the value up itself.
 """
 import dataclasses
 import random
@@ -23,7 +25,8 @@ from fairstream.driver import Trace, Violation, audit_trace, replay_states, run_
 from fairstream.generators import interval_random, random_two_value
 from fairstream.matching import PriorityMatching, PriorityMatchingAuditor
 from fairstream.metrics import _mms_two_value_fast, mms_two_value
-from fairstream.model import AgentProfile, AgentType, AllocationState, GoodEvent, Instance
+from fairstream.model import (AgentProfile, AgentType, AllocationState, GoodEvent, Instance,
+                              value)
 
 # (profile, largest n): the enumerating solver (beta does not divide alpha,
 # or float values) is kept to small n
@@ -134,12 +137,17 @@ def counted(monkeypatch):
     return oracle
 
 
-def reference_type1(trace):
-    """mms-type1 over every step and type-1 agent, asking the oracle every time."""
+def reference_shares(trace):
+    """mms-type1 and prop-quarter over every step and type-1 agent, asking
+    the oracle every time.  The value seen is folded left in arrival order,
+    as a run adds it up; `sum` would round differently on Python 3.12+."""
     inst, n = trace.instance, trace.instance.n
+    seen = [0] * n
     out = []
-    for state, _ in replay_states(trace):
+    for state, step in replay_states(trace):
+        good = inst.goods[step.t - 1]
         for i, prof in enumerate(inst.agents, 1):
+            seen[i - 1] += value(prof, good, i)
             if prof.kind != AgentType.TYPE1:
                 continue
             hr, gr = state.high_received[i - 1], state.goods_received[i - 1]
@@ -148,6 +156,9 @@ def reference_type1(trace):
             mu = mms_two_value(hs, state.t - hs, prof.alpha, prof.beta, n)
             if (2 * n - 1) * own < mu:
                 out.append(Violation("mms-type1", state.t, i, f"v={own}, mu={mu}"))
+            if hr >= 1 and 4 * n * own < seen[i - 1]:
+                out.append(Violation("prop-quarter", state.t, i,
+                                     f"v={own}, seen={seen[i - 1]}"))
     return out
 
 
@@ -176,25 +187,32 @@ def hoard(trace, keeper, seed):
 
 
 FLOOR_PROFILES = [None, [(5, 1), (2, 1)], [(2.5, 1.0), (7.5, 0.5)], [(6, 1), (6, 1)]]
+# non-dyadic floats, a flat agent and a zero low value
+SHARE_PROFILES = FLOOR_PROFILES + [[(0.7, 0.1), (2.5, 0.3), (1.1, 1.1), (0.3, 0.0)]]
 
 
-@pytest.mark.parametrize("profiles", FLOOR_PROFILES)
+@pytest.mark.parametrize("profiles", SHARE_PROFILES)
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_type1_floor_guard_keeps_every_verdict(profiles, n, counted):
-    found = 0
+    """The auditor's mms-type1 and prop-quarter records, detail text
+    included, equal the reference's, which asks the oracle every time and
+    folds the value seen itself; the auditor reads the value seen from the
+    ledger."""
+    found = {"mms-type1": 0, "prop-quarter": 0}
     for seed in range(4):
         inst = random_two_value(n, 60, seed, profiles=profiles)
         trace = run_online(DeferredPriority(), inst)
         for tr in (trace, hoard(trace, 1 + seed % n, seed)):
-            want = reference_type1(tr)
+            want = reference_shares(tr)
             counted.calls = 0
             auditor = DeferredPriorityAuditor(inst, share_bounds=True)
-            got = [v for v in audit_trace(tr, auditor) if v.check == "mms-type1"]
+            got = [v for v in audit_trace(tr, auditor) if v.check in found]
             assert got == want
             type1 = sum(p.kind == AgentType.TYPE1 for p in inst.agents)
             assert counted.calls + auditor.oracle_skips == type1 * len(tr.steps)
-            found += len(want)
-    assert found, "the hoarded traces should break some type-1 floor"
+            for v in want:
+                found[v.check] += 1
+    assert all(found.values()), f"the hoarded traces should break both floors: {found}"
 
 
 @pytest.mark.parametrize("profiles", FLOOR_PROFILES)

@@ -108,6 +108,17 @@ def test_lift_guarantee_end_to_end(alg_cls):
         assert len(rows) == 10 * n
 
 
+def test_lift_flags_a_transfer_without_the_sqrt_alpha_factor():
+    """With every threshold set to 1.0 the check asks each original ratio
+    to reach its proxy ratio, which rounding up to the proxy breaks."""
+    for seed in range(10):
+        pair = threshold_round(interval_random(3, 9, seed, foresight=2))
+        tight = ThresholdProxy(pair.original, pair.proxy, [1.0] * 3)
+        trace = run_online(DeferredPriority(), pair.proxy)
+        with pytest.raises(AssertionError, match="transfer violated"):
+            lift_guarantee(tight, trace)
+
+
 def test_transferred_floors_from_documented_bounds():
     # the proxy floor divided by max_i sqrt(alpha_i) survives on the original
     for seed in range(4):
