@@ -11,6 +11,12 @@ line per mutant and exits 1 if any mutant survives, no longer applies (its
 text is not found exactly once) or errs (any other pytest exit code, such
 as a collection error), 0 otherwise.  Stdlib only; run from anywhere in the
 checkout.
+
+`EQUIVALENT` lists mutants that no test can kill because they leave every
+result unchanged, each with the argument why.  They are not run; each must
+still apply exactly once, so the argument stays attached to today's code.
+`tests/test_mutants.py` checks in the tier-1 run that every mutant of both
+lists applies and names test files that exist.
 """
 from __future__ import annotations
 
@@ -78,20 +84,83 @@ MUTANTS = [
         ["tests/test_golden_lift.py", "tests/test_maximin_ledger.py",
          "tests/test_golden_reports.py"],
     ),
+    # the maximin search cuts a branch whose bundles need exactly as many
+    # goods as remain
+    (
+        "exhaustive-count-bound-off-by-one",
+        "fairstream/metrics.py",
+        "            if cut or cnt > m - idx:\n",
+        "            if cut or cnt >= m - idx:\n",
+        ["tests/test_metrics.py"],
+    ),
+    # on integers a bundle counts one good more than its gap needs
+    (
+        "exhaustive-count-bound-integer-plus-two",
+        "fairstream/metrics.py",
+        "                        cnt += d // v + 1\n",
+        "                        cnt += d // v + 2\n",
+        ["tests/test_metrics.py"],
+    ),
+    # the float value bound cuts at need > rem, with no REL_TOL margin, and
+    # so loses a fold that rounds above the incumbent
+    (
+        "exhaustive-value-bound-no-margin",
+        "fairstream/metrics.py",
+        "need - rem > REL_TOL * max(1.0, best)",
+        "need > rem",
+        ["tests/test_metrics.py"],
+    ),
+    # the float margin scales with the need and the remaining value instead of
+    # the incumbent, below one rounding of sums far above 1
+    (
+        "exhaustive-value-margin-of-the-gap",
+        "fairstream/metrics.py",
+        "need - rem > REL_TOL * max(1.0, best)",
+        "need - rem > REL_TOL * max(1.0, need, rem)",
+        ["tests/test_metrics.py"],
+    ),
+    # a cut on the smallest bundle plus every remaining good, with no margin
+    (
+        "exhaustive-lift-cut-no-margin",
+        "fairstream/metrics.py",
+        "        v = vals[idx]  # the largest remaining good, so v > 0\n",
+        "        if low + rem <= best:\n"
+        "            return\n"
+        "        v = vals[idx]  # the largest remaining good, so v > 0\n",
+        ["tests/test_metrics.py"],
+    ),
 ]
+
+# (name, file under src/, original text, mutated text, reason)
+EQUIVALENT = [
+    (
+        "exhaustive-count-two-only-above-the-gap",
+        "fairstream/metrics.py",
+        "                        cnt += 2 if d >= v else 1\n",
+        "                        cnt += 2 if d > v else 1\n",
+        "Counting one good where the original counts two only weakens the goods "
+        "bound, and the original is exact there: a gap d == v is exact, so one "
+        "good lifts the bundle to best at most and it needs two.  Both searches "
+        "then return the largest leaf fold; only the number of nodes differs.",
+    ),
+]
+
+
+def applies(rel, old) -> bool:
+    """The original text occurs exactly once in its file under src/."""
+    return (ROOT / "src" / rel).read_text().count(old) == 1
 
 
 def run_mutant(name, rel, old, new, tests) -> str:
     """'killed', 'survived', 'error' or 'stale' (the original text is not
     found exactly once)."""
+    if not applies(rel, old):
+        return "stale"
     with tempfile.TemporaryDirectory(prefix=f"mutant-{name}-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         path = src / rel
-        text = path.read_text()
-        if text.count(old) != 1:
-            return "stale"
-        path.write_text(text.replace(old, new))
+        path.write_text(path.read_text().replace(old, new))
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
@@ -107,7 +176,12 @@ def main() -> int:
         bad += verdict != "killed"
         print(f"{verdict:8} {name} ({' '.join(tests)}, {time.perf_counter() - t0:.1f} s)")
     print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
-    return 1 if bad else 0
+    stale = 0
+    for name, rel, old, new, reason in EQUIVALENT:
+        ok = applies(rel, old) and bool(reason.strip())
+        stale += not ok
+        print(f"{'equiv' if ok else 'stale':8} {name}")
+    return 1 if bad or stale else 0
 
 
 if __name__ == "__main__":

@@ -28,10 +28,12 @@ scanned over j for witnesses.
 Two independent maximin-share oracles are provided:
 
 * `mms_exhaustive` searches assignments of up to 12 goods to n bundles by
-  branch and bound, for arbitrary additive values: an LPT incumbent, a bound
-  on what the remaining goods can lift, and symmetry breaks on equal bundle
-  sums and runs of equal goods.  Each is exact on floats too, so a float
-  share is one assignment's sum to the last bit;
+  branch and bound, for arbitrary additive values: an LPT incumbent, bounds
+  on what the remaining goods can lift in value and, as goods cannot be
+  split, in count (the bin-covering bound of Labbe, Laporte and Martello),
+  and symmetry breaks on equal bundle sums and runs of equal goods.  Each is
+  exact on floats too, so a float share is one assignment's sum to the last
+  bit;
 * `mms_two_value` solves the two-distinct-values case exactly at any scale by
   enumerating high-good distributions and water-filling the identical low
   goods (with a fast closed feasibility test when the low value divides the
@@ -155,13 +157,27 @@ def mms_exhaustive(values, n: int):
 
     * Incumbent: LPT (each good onto the first minimal bundle) builds the
       same folds, so the search starts from one of its own leaf values.
-    * Bounds: a branch is cut when its smallest bundle plus every remaining
-      good cannot beat the incumbent, or when the bundles at or below the
-      incumbent need more than the remaining goods to all rise strictly
-      above it.  The need is best + 1 - s per bundle on integers and best - s
-      on other values; on floats it must exceed the remaining value beyond
-      the REL_TOL margin, so no branch that could win by a rounding error is
-      cut.
+    * Bounds: every bundle at or below the incumbent must rise strictly
+      above it, so a branch is cut when those bundles cannot all rise.
+      - Value: they need best + 1 - s each on integers and best - s on other
+        values, more than the remaining goods are worth.  On floats the need
+        must exceed the remaining value by REL_TOL * max(1, best): a fold of
+        at most 12 goods rounds above their real sum by a relative 12 * 2**-53
+        at most, and the computed need and remaining value (below 12 * best
+        wherever a cut is made) err by a like amount, all far below the
+        margin, so no branch that could win by a rounding error is cut.  The
+        smallest bundle plus every remaining good is this bound on one bundle.
+      - Goods (the bin-covering bound, as goods cannot be split): each needs
+        one more good, and every remaining good is worth at most v, the next
+        one.  A bundle with gap d = best - s needs d // v + 1 goods on
+        integers and two when d >= v on other values; the branch is cut when
+        they need more goods than remain.  On floats this needs no margin.
+        Goods come in descending order, so a bundle with s > 0 holds a good
+        worth at least v.  The gap is exact for s = 0 and s >= best / 2, and
+        for 0 < s < best / 2 it exceeds best / 2 > v both computed and real.
+        So d >= v computed means s + v <= best in real arithmetic, and as
+        rounding is monotone and best is a float, s plus any one remaining
+        good folds to at most best.
     * Symmetry: a good goes to one bundle of each distinct current sum, and
       a good equal to the previous one only to that good's bundle or a later
       one.  Swapping bundles of equal sum, or equal goods, leaves every fold
@@ -175,10 +191,10 @@ def mms_exhaustive(values, n: int):
         raise ValueError(f"exhaustive oracle capped at {MMS_EXHAUSTIVE_MAX_GOODS} goods")
     if any(v < 0 for v in vals):
         raise ValueError("values must be nonnegative")
-    if m < n or not vals:
-        return 0 if all(_is_exact(v) for v in vals) else 0.0
-    exact = all(_is_exact(v) for v in vals)
     integral = all(isinstance(v, int) for v in vals)
+    exact = integral or all(_is_exact(v) for v in vals)
+    if m < n or not vals:
+        return 0 if exact else 0.0
 
     suffix = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
@@ -193,29 +209,35 @@ def mms_exhaustive(values, n: int):
 
     def rec(idx, lo):
         nonlocal best
-        if idx == m:
-            cur = min(sums)
-            if cur > best:
-                best = cur
-            return
-        rem = suffix[idx]
         low = min(sums)
-        if low + rem <= best:
+        rem = suffix[idx]
+        if not rem:  # a leaf, or only goods worth 0 left: no bundle can rise
+            if low > best:
+                best = low
             return
+        v = vals[idx]  # the largest remaining good, so v > 0
         if low <= best:
-            # each bundle at or below the incumbent must rise strictly above it
-            if integral:  # by at least best + 1 - s on integers
-                if sum(best + 1 - s for s in sums if s <= best) > rem:
-                    return
-            else:
-                need = 0
+            # each bundle at or below the incumbent must rise strictly above
+            # it: by its gap d = best - s in value (d + 1 on integers), and by
+            # one good, or by more when no remaining good covers d alone
+            need = cnt = 0
+            if integral:
                 for s in sums:
                     if s <= best:
-                        need += best - s
-                # on floats _gt(need, rem), inlined: hot (both are >= 0)
-                if need >= rem if exact else need - rem > REL_TOL * max(1.0, need, rem):
-                    return
-        v = vals[idx]
+                        d = best - s
+                        need += d + 1
+                        cnt += d // v + 1
+                cut = need > rem
+            else:
+                for s in sums:
+                    if s <= best:
+                        d = best - s
+                        need += d
+                        cnt += 2 if d >= v else 1
+                # on floats beyond the REL_TOL margin of the incumbent
+                cut = need >= rem if exact else need - rem > REL_TOL * max(1.0, best)
+            if cut or cnt > m - idx:
+                return
         run = tie[idx]
         for b in range(lo, n):
             s = sums[b]

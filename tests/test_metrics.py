@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairstream.generators import interval_random
-from fairstream.metrics import (CycleError, EnvyGraph, PairwiseTracker, ReportBuilder,
+from fairstream.generators import interval_random, random_two_value
+from fairstream.metrics import (REL_TOL, CycleError, EnvyGraph, PairwiseTracker, ReportBuilder,
                                 _gt, _is_exact, _mms_two_value_cached, _ratio,
                                 build_envy_graph, efk_ratio, efk_ratio_all, mms_exhaustive,
                                 mms_report, mms_two_value, prop_ratio, report_csv_rows,
@@ -83,6 +83,7 @@ def test_mms_exhaustive_examples():
     assert mms_exhaustive([5, 5, 1, 1, 1], 2) == 6
     assert mms_exhaustive([1] * 7, 3) == 2
     assert mms_exhaustive([1, 1, 1, 4, 4], 3) == 3
+    assert mms_exhaustive([3, 3, 2, 2, 2], 2) == 6  # LPT gives 5; each bundle needs 2 goods
     assert mms_exhaustive([3, 2], 3) == 0  # fewer goods than bundles
     assert mms_exhaustive([], 2) == 0
     with pytest.raises(ValueError):
@@ -103,6 +104,35 @@ def test_mms_exhaustive_finds_a_share_a_rounding_step_above_the_lpt_incumbent():
     b = (1.0 + 1e-12) / 2
     vals = [1.0, 1.0, b, b, b]
     assert mms_exhaustive(vals, 2) == mms_brute_force(vals, 2) == b + b + b > 1.0 + b
+
+
+def test_mms_exhaustive_keeps_a_fold_that_rounds_above_the_incumbent():
+    # each share is a fold that rounds above the incumbent although the real
+    # sums do not; a bound without the incumbent's REL_TOL margin cuts it and
+    # returns the lower fold in the comment
+    big = [5.764607523034232e+17, 1.1529215046068472e+18, 1.152921504606847e+18,
+           5.764607523034236e+17]
+    for vals, n, want in [
+        ([2.1, 0.1, 0.9, 2.0, 1.2, 0.0, 1.3, 0.2], 2, 3.7000000000000006),  # 3.7
+        ([1.2, 2.6, 1.0, 1.8, 2.3, 0.4, 2.4, 2.4], 2, 7.000000000000001),   # 7.0
+        # a margin relative to the need and the remaining value, not to the
+        # incumbent, is below one rounding of these sums
+        (big + [142.0, 210.0, 128.0], 2, 1.729382256910271e+18),  # ...707e+18
+    ]:
+        assert mms_exhaustive(vals, n) == mms_brute_force(vals, n) == want
+
+
+def test_mms_exhaustive_counts_two_goods_for_a_gap_equal_to_the_next_good():
+    # LPT gives {0.6} / {0.3, 0.2}, minimum 0.5.  The search then reaches
+    # bundles (0.6, 0.3) with 0.2 left: the gap 0.5 - 0.3 is 0.2 exactly, so
+    # one good lifts the bundle only to 0.5, it needs two, and the count alone
+    # cuts.  A gap d >= v counts two on floats with no margin; the integer
+    # case needs d // v + 1 = 2 goods at sums (10, 11), incumbent 11, 1 and 1 left.
+    for vals, n, want in [([0.6, 0.3, 0.2], 2, 0.5),
+                          ([6, 4, 4, 4, 3, 1, 1], 2, 11),
+                          ([6.0, 4.0, 4.0, 4.0, 3.0, 1.0, 1.0], 2, 11.0)]:
+        got = mms_exhaustive(vals, n)
+        assert got == mms_brute_force(vals, n) == want and type(got) is type(want)
 
 
 def test_mms_cache_keeps_integer_and_float_profiles_apart():
@@ -244,8 +274,10 @@ def mms_brute_force(values, n):
 
 
 def mms_exhaustive_reference(values, n):
-    """`mms_exhaustive` before its LPT incumbent, float bound and equal-value
-    runs: the incumbent starts at 0 and only equal bundle sums are skipped.
+    """`mms_exhaustive` before its LPT incumbent, float bound, count bound and
+    equal-value runs: the incumbent starts at 0 and only equal bundle sums are
+    skipped.  On floats its lift cut keeps a REL_TOL margin of the incumbent,
+    as a fold can round above the real sum of its goods.
 
     Its integer-step bound also runs on `Fraction`s, where it is wrong, so it
     is an oracle on floats and integers only.
@@ -269,7 +301,8 @@ def mms_exhaustive_reference(values, n):
                 best = cur
             return
         rem = suffix[idx]
-        if min(sums) + rem <= best:
+        lift = best - (min(sums) + rem)
+        if lift >= 0 if exact else lift > 1e-9 * max(1.0, best):
             return
         if exact and sum(best + 1 - s for s in sums if s <= best) > rem:
             return
@@ -290,10 +323,11 @@ def mms_exhaustive_reference(values, n):
 @st.composite
 def mms_cases(draw):
     """Up to 8 goods for 1 to 4 bundles: integers with zeros and repeats,
-    `Fraction`s, proxy-shaped (alpha, sqrt(alpha)) floats or uniform floats."""
+    `Fraction`s, proxy-shaped (alpha, sqrt(alpha)) floats, uniform floats or
+    one-decimal floats, whose folds often round above their real sums."""
     n = draw(st.integers(1, 4))
     m = draw(st.integers(0, 8))
-    kind = draw(st.sampled_from(["int", "fraction", "proxy", "float"]))
+    kind = draw(st.sampled_from(["int", "fraction", "proxy", "float", "decimal"]))
     if kind == "int":
         entry = st.integers(0, 6)
     elif kind == "fraction":
@@ -301,8 +335,10 @@ def mms_cases(draw):
     elif kind == "proxy":
         alpha = draw(st.floats(2.0, 25.0))
         entry = st.sampled_from([alpha, math.sqrt(alpha)])
-    else:
+    elif kind == "float":
         entry = st.floats(0.0, 25.0)
+    else:
+        entry = st.integers(0, 30).map(lambda k: k / 10)
     return draw(st.lists(entry, min_size=m, max_size=m)), n
 
 
@@ -327,6 +363,14 @@ def test_mms_exhaustive_equals_the_unpruned_search_on_long_prefixes():
                     for vals in (orig[:t], prox[:t]):
                         got, want = mms_exhaustive(vals, n), mms_exhaustive_reference(vals, n)
                         assert got == want and type(got) is float
+    # integers with zeros and repeats: gaps of several goods, d // v + 1 > 1
+    rng = random.Random(0)
+    for _ in range(40):
+        n = rng.choice((2, 3, 4))
+        vals = [rng.choice((0, 0, 1, 1, 2, 3, 5, 8, 13)) for _ in range(12)]
+        for t in range(9, 13):
+            got, want = mms_exhaustive(vals[:t], n), mms_exhaustive_reference(vals[:t], n)
+            assert got == want and type(got) is int
 
 
 float_pairs = st.sampled_from([(2.5, 1), (5, 1.5), (2.5, 2.5), (1.5, 0), (0.0, 0.0)])
@@ -515,6 +559,29 @@ def test_direct_removable_value_sums_in_the_ledger_order():
         for i, j, k in itertools.product((1, 2, 3), (1, 2, 3), (0, 1, 2)):
             got, want = removable_value(state, i, j, k), tr.removable_value(i, j, k)
             assert got == want and type(got) is type(want), (seed, i, j, k, got, want)
+
+
+def test_direct_removable_value_on_float_two_value_profiles_is_within_tolerance():
+    """On float 2-value profiles the ledger subtracts drop_h * alpha (and
+    drop_l * beta) in one step, the direct function the removed goods one at
+    a time: they may differ in the last bit, never beyond REL_TOL.  The
+    witness pins that divergence, so a change unifying the two is deliberate."""
+    from fairstream.metrics import removable_value
+
+    witness = None
+    for seed in range(200):
+        inst = random_two_value(3, 10, seed, profiles=[(0.7, 0.1), (2.5, 0.3), (1.1, 1.1)])
+        rng = random.Random(seed)
+        state = AllocationState(inst)
+        for g in inst.goods:
+            state.assign(g, rng.randint(1, 3))
+        tr = state.pairwise()
+        for i, j, k in itertools.product((1, 2, 3), (1, 2, 3), (0, 1, 2)):
+            got, want = removable_value(state, i, j, k), tr.removable_value(i, j, k)
+            assert abs(got - want) <= REL_TOL * max(1.0, abs(got), abs(want)), (seed, i, j, k)
+            if (seed, i, j, k) == (0, 3, 2, 2):
+                witness = (want, got)
+    assert witness == (6.599999999999999, 6.6)
 
 
 @pytest.mark.parametrize("n, m", [(2, 2), (3, 4)])
