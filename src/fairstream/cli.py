@@ -6,16 +6,26 @@ trace + per-step fairness report CSVs, `generate` seeded instances,
 `reduce` rounds an interval instance to its 2-value proxy, `verify` runs the
 acceptance test suite.
 
+`run` writes its outputs after the run, row by row: the trace CSV and the
+report CSV through files opened only then (a run that raises leaves no file),
+or the report rows to stdout as they are formed.
+
 Exit codes: 0 success, 1 bad input or configuration (malformed instance files
-report the offending line), 2 guarantee-check failure.
+report the offending line; an output path that cannot be written prints
+`error: ...`), 2 guarantee-check failure, 141 (128 + SIGPIPE, as a shell
+reports a writer that SIGPIPE ended) when the reader of stdout closed it
+before the output was complete, as in `fairstream run ... | head`; the
+command then ends quietly, and its guarantee checks may not have run.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 from . import __version__
@@ -33,6 +43,11 @@ from .model import Instance
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_GUARANTEE = 2
+EXIT_PIPE = 141
+
+# rows joined per write of a CSV file: a write per row took about twice as
+# long, and 256 rows of a wide trace held about 150 KiB at once
+_CHUNK_ROWS = 64
 
 ALGORITHMS = {
     "deferred-priority": DeferredPriority,
@@ -117,11 +132,10 @@ def cmd_run(args) -> int:
     trace = run_online(alg, inst, auditors=auditors + [_Reporter()])
 
     if args.trace_out:
-        Path(args.trace_out).write_text(
-            "\n".join(trace_csv_rows(trace, alg.trace_columns)) + "\n")
+        _write_csv(args.trace_out, trace_csv_rows(trace, alg.trace_columns))
     rows = report_csv_rows(reports)
     if args.report_out:
-        Path(args.report_out).write_text("\n".join(rows) + "\n")
+        _write_csv(args.report_out, rows)
     else:
         for row in rows:
             print(row)
@@ -135,6 +149,16 @@ def cmd_run(args) -> int:
         print(f"{len(violations)} violation(s) total", file=sys.stderr)
         return EXIT_GUARANTEE
     return EXIT_OK
+
+
+def _write_csv(path, rows):
+    """Write CSV rows to `path`, each ended by a newline, as they are formed:
+    only one chunk of rows is held at a time."""
+    rows = iter(rows)
+    with open(path, "w", encoding="utf-8") as fh:
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            chunk.append("")
+            fh.write("\n".join(chunk))
 
 
 def cmd_generate(args) -> int:
@@ -274,11 +298,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except InstanceFormatError as e:
         print(f"malformed instance: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except (ValueError, FileNotFoundError) as e:
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: point stdout at devnull, so that the
+        # flush at exit does not fail again on the output still buffered
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

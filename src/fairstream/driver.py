@@ -97,16 +97,17 @@ def _join(vec) -> str:
 
 
 def trace_csv_rows(trace: Trace, columns=None):
-    """Trace as CSV rows: core columns plus the algorithm's extra columns,
-    vector-valued extras semicolon-joined.  Deterministic for replay diffing."""
+    """Yield the trace as CSV rows (header first): core columns plus the
+    algorithm's extra columns, vector-valued extras semicolon-joined.
+    Deterministic for replay diffing.  Rows are formed one at a time as they
+    are read; wrap the call in `list` for a list."""
     if columns is None:
         keys = trace.steps[0].extras.keys() if trace.steps else ()
         columns = tuple(keys)
-    out = [",".join(TRACE_CORE_COLUMNS + tuple(columns))]
+    yield ",".join(TRACE_CORE_COLUMNS + tuple(columns))
     for s in trace.steps:
         row = [str(s.t), str(s.good), str(s.agent), "1" if s.as_high else "0"]
         for col in columns:
             v = s.extras.get(col, "")
             row.append(_join(v) if isinstance(v, (list, tuple)) else str(v))
-        out.append(",".join(row))
-    return out
+        yield ",".join(row)

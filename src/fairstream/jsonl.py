@@ -11,8 +11,9 @@ instances or ``{"values": [real, ...]}`` for interval-restricted ones.
 The loader is strict at this boundary: flags must be JSON booleans, values
 and alphas finite JSON numbers, foresight a JSON integer; any other input
 raises `InstanceFormatError` naming the offending line (blank lines count).
-`read_instance` parses a file one line at a time, so only the instance, not
-the file's text, is held in memory.
+`read_instance` parses a file one line at a time and `write_instance` writes
+one line at a time, so only the instance, not the file's text, is held in
+memory.
 """
 from __future__ import annotations
 
@@ -104,20 +105,24 @@ def _parse_lines(raw_lines) -> Instance:
     return instance
 
 
-def dumps_instance(instance: Instance) -> str:
+def _instance_lines(instance: Instance):
+    """Yield the instance's JSONL lines, header first, without newlines."""
     header = {
         "n": instance.n,
         "agents": [{"alpha": a.alpha, "beta": a.beta} for a in instance.agents],
         "flavor": instance.flavor.value,
         "foresight": instance.foresight,
     }
-    lines = [json.dumps(header, separators=(",", ":"))]
+    yield json.dumps(header, separators=(",", ":"))
     for g in instance.goods:
         if g.high is not None:
-            lines.append(json.dumps({"high": list(g.high)}, separators=(",", ":")))
+            yield json.dumps({"high": list(g.high)}, separators=(",", ":"))
         else:
-            lines.append(json.dumps({"values": list(g.values)}, separators=(",", ":")))
-    return "\n".join(lines) + "\n"
+            yield json.dumps({"values": list(g.values)}, separators=(",", ":"))
+
+
+def dumps_instance(instance: Instance) -> str:
+    return "\n".join(_instance_lines(instance)) + "\n"
 
 
 def read_instance(path) -> Instance:
@@ -127,5 +132,8 @@ def read_instance(path) -> Instance:
 
 
 def write_instance(instance: Instance, path):
+    """Write the instance to `path` line by line, the same bytes as
+    `dumps_instance`, without holding the whole text."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_instance(instance))
+        for line in _instance_lines(instance):
+            fh.write(f"{line}\n")

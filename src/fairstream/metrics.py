@@ -784,15 +784,15 @@ def _ratio_text(num, den) -> str:
 
 
 def report_csv_rows(reports):
-    """Serialize FairnessReports to CSV rows (header included), writing each
-    ratio's text from the report's ledger quantities (`_ratio_text`)."""
-    out = [",".join(REPORT_COLUMNS)]
+    """Yield FairnessReports as CSV rows (header first), writing each ratio's
+    text from the report's ledger quantities (`_ratio_text`).  Rows are formed
+    one at a time as they are read; wrap the call in `list` for a list."""
+    yield ",".join(REPORT_COLUMNS)
     text = _ratio_text
     for rep in reports:
         n = len(rep.own)
         for i, (mine, a, b, c, seen, mu, deg) in enumerate(
                 zip(rep.own, rep.d0, rep.d1, rep.d2, rep.seen, rep.mms_value, rep.envy_out), 1):
             mms = "," if mu is None else f"{_fmt(mu)},{text(mine, mu)}"
-            out.append(f"{rep.t},{i},{text(mine, a)},{text(mine, b)},{text(mine, c)},"
-                       f"{text(n * mine, seen)},{mms},{deg}")
-    return out
+            yield (f"{rep.t},{i},{text(mine, a)},{text(mine, b)},{text(mine, c)},"
+                   f"{text(n * mine, seen)},{mms},{deg}")

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from fairstream.cli import EXIT_GUARANTEE, EXIT_INPUT, EXIT_OK, main
+import fairstream
+from fairstream import cli
+from fairstream.cli import EXIT_GUARANTEE, EXIT_INPUT, EXIT_OK, EXIT_PIPE, main
 from fairstream.jsonl import read_instance
 
 
@@ -136,3 +143,68 @@ def test_ef1_adversary_command(capsys):
 
 def test_verify_missing_tests_dir(tmp_path):
     assert run_cli("verify", "--tests", str(tmp_path / "nope.py")) == EXIT_INPUT
+
+
+def test_run_that_raises_leaves_no_output_file(tmp_path):
+    trace, report = tmp_path / "t.csv", tmp_path / "r.csv"
+    assert run_cli("run", "--alg", "naive-matching", "--gen", "random-2value",
+                   "--n", "3", "--m", "4", "--trace-out", str(trace),
+                   "--report-out", str(report)) == EXIT_INPUT
+    assert not trace.exists() and not report.exists()
+
+
+@pytest.mark.parametrize("flag", ["--trace-out", "--report-out"])
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+def test_unwritable_output_path_exits_one(tmp_path, capsys, flag, where):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "out.csv"
+    code = run_cli("run", "--alg", "round-robin", "--gen", "random-2value",
+                   "--n", "2", "--m", "4", flag, str(out))
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_run_ends_quietly_when_stdout_closes_early():
+    """`fairstream run ... | head -1`: the reader takes one line and closes
+    the pipe while the report (far larger than a pipe's buffer) is written."""
+    env = {**os.environ, "PYTHONPATH": str(Path(fairstream.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fairstream", "run", "--alg", "deferred-priority",
+         "--gen", "random-2value", "--n", "8", "--m", "1000", "--granularity", "step"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert first == b"t,agent,ef,ef1,ef2,prop,mms_value,mms_ratio,envy_out_degree\n"
+    assert err == b""
+    assert proc.returncode == EXIT_PIPE
+
+
+def test_run_writes_its_outputs_in_bounded_memory(tmp_path, monkeypatch):
+    """Once `run_online` returns, writing the trace and report CSVs peaks
+    less than 256 KiB above the memory the finished run holds: rows are
+    written as they are formed, not joined first (the joined texts took
+    about 3.4 MiB here)."""
+    held = []
+    run_online = cli.run_online
+
+    def run_then_mark(*args, **kwargs):
+        trace = run_online(*args, **kwargs)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return trace
+
+    monkeypatch.setattr(cli, "run_online", run_then_mark)
+    trace, report = tmp_path / "t.csv", tmp_path / "r.csv"
+    tracemalloc.start()
+    try:
+        code = run_cli("run", "--alg", "deferred-priority", "--gen", "random-2value",
+                       "--n", "16", "--m", "1000", "--granularity", "step",
+                       "--assert-guarantees", "--trace-out", str(trace),
+                       "--report-out", str(report))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert len(report.read_text().splitlines()) == 1 + 16 * 1000
+    assert peak - held[0] < 256 * 1024, (peak - held[0]) // 1024

@@ -127,6 +127,6 @@ def test_trace_csv_columns():
 
     inst = random_two_value(2, 4, seed=0)
     trace = run_online(DeferredPriority(), inst)
-    rows = trace_csv_rows(trace, DeferredPriority.trace_columns)
+    rows = list(trace_csv_rows(trace, DeferredPriority.trace_columns))
     assert rows[0] == "t,good,allocated_to,as_high,phase,H,L,chi"
     assert len(rows) == 5

@@ -211,8 +211,8 @@ def test_priority_internal_graph_matches_reference_plan():
 
 def test_matching_trace_csv_columns():
     inst = random_two_value(2, 4, seed=0, foresight=1)
-    rows = trace_csv_rows(run_online(PriorityMatching(), inst),
-                          PriorityMatching.trace_columns)
+    rows = list(trace_csv_rows(run_online(PriorityMatching(), inst),
+                               PriorityMatching.trace_columns))
     assert rows[0] == "t,good,allocated_to,as_high,round,pi,committed"
 
 

@@ -228,7 +228,7 @@ def test_report_builder_csv_schema():
     for g, owner in zip(inst.goods, (1, 2)):
         st_.assign(g, owner)
         reports.append(builder.report(st_))
-    rows = report_csv_rows(reports)
+    rows = list(report_csv_rows(reports))
     assert rows[0] == "t,agent,ef,ef1,ef2,prop,mms_value,mms_ratio,envy_out_degree"
     assert len(rows) == 1 + 2 * 2  # header + steps * agents
 

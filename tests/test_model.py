@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from fairstream.baselines import GreedyWelfare, RoundRobin
 from fairstream.deferred_priority import DeferredPriority
 from fairstream.driver import run_online, trace_csv_rows
-from fairstream.generators import random_two_value
-from fairstream.jsonl import InstanceFormatError, dumps_instance, loads_instance, read_instance
+from fairstream.generators import interval_random, random_two_value
+from fairstream.jsonl import (InstanceFormatError, dumps_instance, loads_instance, read_instance,
+                              write_instance)
 from fairstream.matching import NaiveMatching, PriorityMatching
 from fairstream.model import (AgentProfile, AgentType, AllocationState, Flavor,
                               GoodEvent, Instance, OnlineAlgorithm, bundle_value,
@@ -145,6 +146,15 @@ def test_jsonl_roundtrip_and_bytes():
     again = loads_instance(text)
     assert again == inst
     assert dumps_instance(again) == text
+
+
+@pytest.mark.parametrize("inst", [random_two_value(3, 7, seed=11, foresight=2),
+                                  random_two_value(4, 9, seed=2, profiles=[(2.5, 1), (1, 0)]),
+                                  interval_random(3, 9, seed=4)])
+def test_write_instance_writes_the_bytes_of_dumps_instance(inst, tmp_path):
+    path = tmp_path / "inst.jsonl"
+    write_instance(inst, path)
+    assert path.read_bytes() == dumps_instance(inst).encode()
 
 
 _json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-2, 9), st.floats(),

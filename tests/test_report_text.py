@@ -87,7 +87,7 @@ def test_report_csv_equals_oracle_on_random_runs(data):
     interval values, and n = 1."""
     state, inst = data
     reports = _step_reports(inst, state.recipients)
-    assert report_csv_rows(reports) == csv_rows_oracle(reports)
+    assert list(report_csv_rows(reports)) == csv_rows_oracle(reports)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -98,4 +98,4 @@ def test_report_csv_equals_oracle_past_the_maximin_oracle(n):
         rng = random.Random(seed)
         reports = _step_reports(inst, [rng.randint(1, n) for _ in inst.goods])
         assert reports[-1].mms_value == [None] * n
-        assert report_csv_rows(reports) == csv_rows_oracle(reports)
+        assert list(report_csv_rows(reports)) == csv_rows_oracle(reports)
