@@ -37,14 +37,41 @@ MUTANTS = [
     (
         "update-maxima-no-rescan",
         "fairstream/metrics.py",
-        """                    if r < d[i]:
-                        self._rescan(i, k)
-                    else:
-                        d[i] = r
+        """                        if r < d[i]:
+                            self._rescan(i, k)
+                        else:
+                            d[i] = r
 """,
-        """                    d[i] = r
+        """                        d[i] = r
 """,
         ["tests/test_metrics.py"],
+    ),
+    # the maxima skip a viewer whose new column is worth at most its EF1
+    # maximum, and so miss an EF2 maximum between d2 and d1
+    (
+        "update-maxima-skip-below-d1",
+        "fairstream/metrics.py",
+        "            if theirs > d2[i] or a == g0[i]",
+        "            if theirs > self._dmax[1][i] or a == g0[i]",
+        ["tests/test_metrics.py"],
+    ),
+    # the warm share search ignores the low goods since the last read, so a
+    # share that rose by low goods alone stays at its old value
+    (
+        "warm-range-no-low-term",
+        "fairstream/model.py",
+        "                    hi = mu + (h - h0) * alpha + (l - l0) * beta\n",
+        "                    hi = mu + (h - h0) * alpha\n",
+        ["tests/test_maximin_ledger.py"],
+    ),
+    # the deferred-priority auditor asks one good fewer of every agent from
+    # step n on
+    (
+        "overall-frequency-floor-no-plus-one",
+        "fairstream/deferred_priority.py",
+        "least = (t - n) // (2 * n - 1) + 1 if t >= n else 0",
+        "least = (t - n) // (2 * n - 1) if t >= n else 0",
+        ["tests/test_golden_verdicts.py", "tests/test_deferred_priority.py"],
     ),
     # a ratio just below 1 is written as "1.0"
     (

@@ -90,11 +90,12 @@ class _AdaptiveRun:
         st = self.state
         tr = st.pairwise()
         d1 = tr.maxima()[0][1] if self.metric != "mms" else None
+        shares = st.maximin_shares() if self.metric == "mms" else None
         out = []
         for i in range(1, self.n + 1):
             own = tr.val[i][i]
             if self.metric == "mms":
-                mu = st.maximin_share(i)
+                mu = shares[i - 1]
                 out.append(Fraction(1) if mu == 0 else min(Fraction(1), Fraction(own, mu)))
             else:
                 # min over j of min(1, own/d_j) is the ratio at the largest d_j
@@ -215,8 +216,7 @@ def worst_step_share_ratio(alg: OnlineAlgorithm, instance: Instance) -> Fraction
     worst = Fraction(1)
     for state, _ in replay_states(run_online(alg, instance)):
         val = state.pairwise().val
-        for i in range(1, instance.n + 1):
-            mu = state.maximin_share(i)
+        for i, mu in enumerate(state.maximin_shares(), 1):
             if mu > 0:
                 worst = min(worst, min(Fraction(1), Fraction(val[i][i], mu)))
     return worst

@@ -34,7 +34,7 @@ from .baselines import GreedyWelfare, RoundRobin
 from .deferred_priority import DeferredPriority, DeferredPriorityAuditor
 from .driver import run_online, trace_csv_rows
 from .generators import interval_random, lows_then_highs, random_two_value, staircase
-from .jsonl import InstanceFormatError, read_instance, write_instance
+from .jsonl import InstanceFormatError, _instance_lines, read_instance, write_instance
 from .matching import (NaiveMatching, NaiveMatchingAuditor, PriorityMatching,
                        PriorityMatchingAuditor)
 from .metrics import ReportBuilder, report_csv_rows
@@ -166,8 +166,11 @@ def cmd_generate(args) -> int:
     if args.out:
         write_instance(inst, args.out)
     else:
-        from .jsonl import dumps_instance
-        sys.stdout.write(dumps_instance(inst))
+        # line by line, so that a reader closing stdout early raises
+        # BrokenPipeError (exit 141): one write of the whole text returns a
+        # short count instead
+        for line in _instance_lines(inst):
+            sys.stdout.write(f"{line}\n")
     return EXIT_OK
 
 

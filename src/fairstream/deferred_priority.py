@@ -22,6 +22,7 @@ Guarantees maintained (and audited here at runtime):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import lt
 
 from .driver import Violation, audit_trace
 from .metrics import _floor_certified, mms_two_value
@@ -165,7 +166,7 @@ class DeferredPriorityAuditor:
         self._phase_steps = 0
         self._last_low = [None] * n  # step of the last low receipt this phase
         self._last_state = None
-        self._kinds = [p.kind for p in instance.agents]
+        self._views = [(p.kind, p.alpha, p.beta) for p in instance.agents]
         self._m = instance.m
 
     def _fail(self, check, t, agent, detail):
@@ -191,36 +192,32 @@ class DeferredPriorityAuditor:
         else:
             self._phase_steps += 1
 
-        # parts 1-3 of the structural guarantee
+        # parts 1-3 of the structural guarantee, in one pass over the agents
         if t == n:
-            for i in range(n):
-                if state.goods_received[i] != 1:
-                    self._fail("one-of-first-n", t, i + 1,
-                               f"holds {state.goods_received[i]} goods at t=n")
+            for i, gr in enumerate(state.goods_received, 1):
+                if gr != 1:
+                    self._fail("one-of-first-n", t, i, f"holds {gr} goods at t=n")
         k_high = 3 * n - 2
-        k_all = 2 * n - 1
-        for i in range(n):
-            hs = state.high_seen[i]
-            hr = state.high_received[i]
+        least = (t - n) // (2 * n - 1) + 1 if t >= n else 0  # goods every agent holds
+        passed = self._t0_passed
+        for i, hs, hr, gr in zip(range(1, n + 1), state.high_seen, state.high_received,
+                                 state.goods_received):
             if hr < hs // k_high:
-                self._fail("high-frequency", t, i + 1, f"{hr} high goods held, {hs} seen")
-            if hs >= n and not self._t0_passed[i]:
-                self._t0_passed[i] = True
+                self._fail("high-frequency", t, i, f"{hr} high goods held, {hs} seen")
+            if hs >= n and not passed[i - 1]:
+                passed[i - 1] = True
                 if hr < 1:
-                    self._fail("first-high-by-n-seen", t, i + 1,
+                    self._fail("first-high-by-n-seen", t, i,
                                f"no high good despite {hs} seen")
-            if t >= n and state.goods_received[i] < (t - n) // k_all + 1:
-                self._fail("overall-frequency", t, i + 1,
-                           f"holds {state.goods_received[i]} goods at t={t}")
+            if gr < least:
+                self._fail("overall-frequency", t, i, f"holds {gr} goods at t={t}")
 
         # H-positivity and the level-set condition on the end-of-step H vector
         ordered = sorted(H)
         if ordered[0] < 1:
             self._fail("H-positive", t, None, f"H = {list(H)}")
-        for pos, h in enumerate(ordered, 1):
-            if h < pos:
-                self._fail("level-sets", t, None, f"sorted H = {ordered}")
-                break
+        if any(map(lt, ordered, range(1, n + 1))):  # some sorted H[pos - 1] < pos
+            self._fail("level-sets", t, None, f"sorted H = {ordered}")
 
         if self.strict:
             self._check_rotation(state, good, agent, t, transitioned)
@@ -250,33 +247,35 @@ class DeferredPriorityAuditor:
             self._last_low = [None] * self.n
 
     def _check_shares(self, state, t):
+        """The per-type floors, in one pass over every agent's (kind, alpha,
+        beta) and ledger tallies."""
         n = self.n
-        seen_total = state.pairwise().seen_total
-        for i in range(n):
-            prof = self.instance.agents[i]
-            kind = self._kinds[i]
-            hr = state.high_received[i]
-            gr = state.goods_received[i]
-            own = hr * prof.alpha + (gr - hr) * prof.beta
-            if kind == AgentType.TYPE2:
-                mu = prof.alpha * (t // n)
-                if 2 * own < mu:
-                    self._fail("mms-type2", t, i + 1, f"v={own}, mu={mu}")
-            elif kind == AgentType.TYPE3:
-                mu = prof.alpha * (state.high_seen[i] // n)
-                if 3 * own < mu:
-                    self._fail("mms-type3", t, i + 1, f"v={own}, mu={mu}")
-            elif kind == AgentType.TYPE1:
-                seen = seen_total[i + 1]
-                if _floor_certified((2 * n - 1) * n * own, seen):
-                    self.oracle_skips += 1
+        c = 2 * n - 1
+        cn, four_n = c * n, 4 * n
+        type1, type2, type3 = AgentType.TYPE1, AgentType.TYPE2, AgentType.TYPE3
+        skips = 0
+        for i, (kind, alpha, beta), hr, gr, hs, seen in zip(
+                range(1, n + 1), self._views, state.high_received, state.goods_received,
+                state.high_seen, state.pairwise().seen_total[1:]):
+            own = hr * alpha + (gr - hr) * beta
+            if kind is type1:
+                if _floor_certified(cn * own, seen):
+                    skips += 1
                 else:
-                    hs = state.high_seen[i]
-                    mu = mms_two_value(hs, t - hs, prof.alpha, prof.beta, n)
-                    if (2 * n - 1) * own < mu:
-                        self._fail("mms-type1", t, i + 1, f"v={own}, mu={mu}")
-                if hr >= 1 and 4 * n * own < seen:
-                    self._fail("prop-quarter", t, i + 1, f"v={own}, seen={seen}")
+                    mu = mms_two_value(hs, t - hs, alpha, beta, n)
+                    if c * own < mu:
+                        self._fail("mms-type1", t, i, f"v={own}, mu={mu}")
+                if hr >= 1 and four_n * own < seen:
+                    self._fail("prop-quarter", t, i, f"v={own}, seen={seen}")
+            elif kind is type2:
+                mu = alpha * (t // n)
+                if 2 * own < mu:
+                    self._fail("mms-type2", t, i, f"v={own}, mu={mu}")
+            elif kind is type3:
+                mu = alpha * (hs // n)
+                if 3 * own < mu:
+                    self._fail("mms-type3", t, i, f"v={own}, mu={mu}")
+        self.oracle_skips += skips
 
     def finish(self):
         if self._m < self.n and self._last_state is not None:

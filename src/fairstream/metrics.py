@@ -321,7 +321,7 @@ def _mms_two_value_fast(h, l, alpha, beta, n, lo=0, hi=None):
 
 # Distinct (h, l, alpha, beta, n) arguments kept, so long-lived processes stay
 # bounded.  A run's reports read the ledger's warm shares
-# (`AllocationState.maximin_share`), which come here only for values the fast
+# (`AllocationState.maximin_shares`), which come here only for values the fast
 # search does not cover: one argument per agent and step for those agents.
 # Typed, so an integer profile never gets the float share of an equal one.
 MMS_CACHE_SIZE = 2 ** 16
@@ -353,14 +353,14 @@ def mms_two_value(h: int, l: int, alpha, beta, n: int):
 def mms_share(state: AllocationState, instance: Instance, i: int):
     """Maximin share of agent i over the goods seen so far, or None.
 
-    2-value instances read the run's ledger (`state.maximin_share`), which
-    equals `mms_two_value` on (highs seen, lows seen) and warm-starts each
-    agent's search from its last share.  Interval instances use the
+    2-value instances read the run's ledger (`state.maximin_shares()`),
+    which equals `mms_two_value` on (highs seen, lows seen) and warm-starts
+    each agent's search from its last share.  Interval instances use the
     exhaustive oracle while t <= 12 and return None beyond that: the oracle
     is unavailable rather than approximated.
     """
     if instance.flavor is Flavor.TWO_VALUE:
-        return state.maximin_share(i)
+        return state.maximin_shares()[i - 1]
     if state.t > MMS_EXHAUSTIVE_MAX_GOODS:
         return None
     prof = state.profile(i)
@@ -494,7 +494,8 @@ class PairwiseTracker:
     test per `observe`; after that `observe` keeps them current in O(n).
     Agent a receiving a good changes only column a of `val`, and in exact
     arithmetic a removable value never decreases, so each other viewer needs
-    one compare per k against column a; row i is rescanned only when its
+    one compare per k against column a, and none when column a is worth at
+    most d_2[i] and is no argmax of row i; row i is rescanned only when its
     argmax column went down (float rounding).  Envy of a growing bundle
     cannot vanish, so the out-degree needs one `_gt` test per other viewer
     plus a recount of row a, whose own value grew.
@@ -562,23 +563,28 @@ class PairwiseTracker:
         """Bring the maxima up to date after agent a received a good."""
         val, removable, envies = self.val, self.removable_value, self._envies
         slots = tuple(zip((0, 1, 2), self._dmax, self._argmax))
+        d2 = self._dmax[2]
+        g0, g1, g2 = self._argmax
         for i in range(1, self.n + 1):
             if i == a:
                 continue
             theirs = val[i][a]
-            for k, d, arg in slots:
-                if arg[i] == a:
-                    r = removable(i, a, k) if k else theirs
-                    if r < d[i]:
-                        self._rescan(i, k)
-                    else:
-                        d[i] = r
-                # removing goods never raises a value, so theirs bounds r
-                elif theirs > d[i]:
-                    r = removable(i, a, k) if k else theirs
-                    if r > d[i]:
-                        d[i] = r
-                        arg[i] = a
+            # removing goods never raises a value, so theirs bounds every r
+            # and d2 <= d1 <= d0: below d2, a column that is no argmax moves
+            # no maximum
+            if theirs > d2[i] or a == g0[i] or a == g1[i] or a == g2[i]:
+                for k, d, arg in slots:
+                    if arg[i] == a:
+                        r = removable(i, a, k) if k else theirs
+                        if r < d[i]:
+                            self._rescan(i, k)
+                        else:
+                            d[i] = r
+                    elif theirs > d[i]:
+                        r = removable(i, a, k) if k else theirs
+                        if r > d[i]:
+                            d[i] = r
+                            arg[i] = a
             mine = val[i][i]
             if not envies[i][a] and theirs > mine and _gt(theirs, mine):
                 envies[i][a] = True
@@ -737,18 +743,17 @@ class ReportBuilder:
         denominator d <= 0 counts as ratio 1 (on floats too, since rounded
         division is monotone).  A report therefore keeps v_i(A_i), the
         ledger's largest k = 0, 1, 2 removable values and seen totals, the
-        envy out-degrees and the maximin shares: O(n) copies plus the
-        maximin lookups.  No ratio is computed here; the report's properties
-        give them exactly on demand, and `report_csv_rows` writes them as
-        text.
+        envy out-degrees and the maximin shares: O(n) copies plus one pass
+        over the ledger's shares.  No ratio is computed here; the report's
+        properties give them exactly on demand, and `report_csv_rows` writes
+        them as text.
         """
         n = self.instance.n
         tr = state.pairwise()
         (d0, d1, d2), deg = tr.maxima()
         val = tr.val
         if self.instance.flavor is Flavor.TWO_VALUE:
-            share = state.maximin_share
-            mmsv = [share(i) for i in range(1, n + 1)]
+            mmsv = state.maximin_shares()
         else:
             mmsv = [mms_share(state, self.instance, i) for i in range(1, n + 1)]
         return FairnessReport(state.t, [val[i][i] for i in range(1, n + 1)], d0[1:], d1[1:],

@@ -186,8 +186,8 @@ class AllocationState:
     `seen_value` rescan the bundles; they are the direct oracles the ledger
     is tested against.
 
-    On 2-value instances `maximin_share(i)` answers agent i's maximin share
-    of the goods seen so far, warm-started from the agent's last answer.
+    On 2-value instances `maximin_shares()` answers every agent's maximin
+    share of the goods seen so far, each warm-started from its last answer.
     Its per-agent state is allocated on the first read and never touched by
     `assign`, so a run that never reads shares pays nothing for them.
     """
@@ -248,43 +248,55 @@ class AllocationState:
             self._pairwise = tracker
         return self._pairwise
 
-    def maximin_share(self, agent: int):
-        """`mms_two_value(h, t - h, alpha, beta, n)` of `agent` over the goods
-        seen so far, with h its high goods seen (2-value instances only).
+    def maximin_shares(self) -> list:
+        """Every agent's `mms_two_value(h, t - h, alpha, beta, n)` over the
+        goods seen so far, with h its high goods seen, as a new list in agent
+        order (2-value instances only).
 
-        For integer values with beta | alpha the ledger keeps the agent's
+        For integer values with beta | alpha the ledger keeps each agent's
         last answer (h, l, mu) and searches only [mu, min(mu + (h' - h) *
         alpha + (l' - l) * beta, floor((h' alpha + l' beta) / n))] at new
         counts (h', l').  That range holds the share: a share never drops
         when a good arrives, and never rises by more than the value of the
-        goods added.  An agent with alpha = 0 has share 0 and one with beta
-        = 0 has alpha * floor(h / n), answered directly with the oracle's
-        value and type; other values go to the cached `mms_two_value`.
+        goods added.  When the range is empty (the share already equals the
+        proportional floor) no search runs.  An agent with alpha = 0 has
+        share 0 and one with beta = 0 has alpha * floor(h / n), answered
+        directly with the oracle's value and type; other values go to the
+        cached `mms_two_value`.
         """
         warm = self._mms
         if warm is None:
             if self.instance.flavor is not Flavor.TWO_VALUE:
-                raise ValueError("maximin_share needs a 2-value instance")
+                raise ValueError("maximin_shares needs a 2-value instance")
             warm = self._mms = [(0, 0, 0) if _fast_ok(p.alpha, p.beta) else None
                                 for p in self._agents]
-        h = self.high_seen[agent - 1]
-        l = self.t - h
-        last = warm[agent - 1]
-        prof = self._agents[agent - 1]
-        if last is None:
-            alpha, beta = prof.alpha, prof.beta
-            if alpha == 0:
-                return 0
-            if beta == 0:
-                return alpha * (h // self.n)
-            return _metrics.mms_two_value(h, l, alpha, beta, self.n)
-        h0, l0, mu = last
-        if h != h0 or l != l0:
-            alpha, beta = prof.alpha, prof.beta
-            hi = min(mu + (h - h0) * alpha + (l - l0) * beta, (h * alpha + l * beta) // self.n)
-            mu = _mms_two_value_fast(h, l, alpha, beta, self.n, mu, hi)
-            warm[agent - 1] = (h, l, mu)
-        return mu
+        n, t = self.n, self.t
+        oracle = _metrics.mms_two_value
+        out = []
+        append = out.append
+        for i, (h, last, prof) in enumerate(zip(self.high_seen, warm, self._agents)):
+            if last is None:
+                alpha, beta = prof.alpha, prof.beta
+                if alpha == 0:
+                    append(0)
+                elif beta == 0:
+                    append(alpha * (h // n))
+                else:
+                    append(oracle(h, t - h, alpha, beta, n))
+                continue
+            h0, l0, mu = last
+            l = t - h
+            if h != h0 or l != l0:
+                alpha, beta = prof.alpha, prof.beta
+                # counts only grow and beta > 0, so the range is empty exactly
+                # when its second bound is at most mu
+                cap = (h * alpha + l * beta) // n
+                if cap > mu:
+                    hi = mu + (h - h0) * alpha + (l - l0) * beta
+                    mu = _mms_two_value_fast(h, l, alpha, beta, n, mu, hi if hi < cap else cap)
+                warm[i] = (h, l, mu)
+            append(mu)
+        return out
 
     def bundle_value(self, viewer: int, owner: int):
         prof = self._agents[viewer - 1]
@@ -336,7 +348,7 @@ class OnlineAlgorithm:
 
 # metrics imports this module, so its tracker is imported once the names above
 # exist; an import inside `pairwise` would cost every run several microseconds.
-# `maximin_share` looks `mms_two_value` up on metrics at call time, so a
+# `maximin_shares` looks `mms_two_value` up on metrics at call time, so a
 # rebinding of `metrics.mms_two_value` reaches the ledger as well.
 from . import metrics as _metrics  # noqa: E402
 from .metrics import PairwiseTracker, _fast_ok, _mms_two_value_fast  # noqa: E402

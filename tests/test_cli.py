@@ -17,12 +17,17 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def test_generate_is_deterministic(tmp_path):
+def test_generate_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     for out in (a, b):
         assert run_cli("generate", "--gen", "random-2value", "--n", "3", "--m", "15",
                        "--seed", "9", "--out", str(out)) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+    # without --out the same bytes go to stdout
+    capsys.readouterr()
+    assert run_cli("generate", "--gen", "random-2value", "--n", "3", "--m", "15",
+                   "--seed", "9") == EXIT_OK
+    assert capsys.readouterr().out == a.read_text()
 
 
 def test_run_with_guarantees_and_outputs(tmp_path):
@@ -176,6 +181,23 @@ def test_run_ends_quietly_when_stdout_closes_early():
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert first == b"t,agent,ef,ef1,ef2,prop,mms_value,mms_ratio,envy_out_degree\n"
+    assert err == b""
+    assert proc.returncode == EXIT_PIPE
+
+
+def test_generate_ends_quietly_when_stdout_closes_early():
+    """`fairstream generate ... | head -c 100`: the reader takes 100 bytes and
+    closes the pipe while the instance (far larger than a pipe's buffer) is
+    written, and the command exits 141 with nothing on stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(fairstream.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fairstream", "generate", "--gen", "random-2value",
+         "--n", "16", "--m", "5000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.read(100)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert first.startswith(b'{"n":16,"agents":[')
     assert err == b""
     assert proc.returncode == EXIT_PIPE
 

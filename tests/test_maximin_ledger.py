@@ -1,7 +1,7 @@
 """Maximin shares in the run's ledger, and the share floors certified
 before the oracle.
 
-`AllocationState.maximin_share` warm-starts each agent's binary search from
+`AllocationState.maximin_shares` warm-starts each agent's binary search from
 its last share; it must equal the cold `mms_two_value` at every step, however
 far apart the reads are.  The auditors' mms-type1 and mms-round checks ask
 the oracle only when c * n * v falls short of the value seen; the reference
@@ -12,6 +12,7 @@ reference that adds the value up itself.
 """
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -46,10 +47,9 @@ class ShareReader:
     def observe(self, state, good, agent, extras):
         if state.t % self.every:
             return
-        for i, prof in enumerate(self.instance.agents, 1):
+        for i, (prof, got) in enumerate(zip(self.instance.agents, state.maximin_shares()), 1):
             h = state.high_seen[i - 1]
             want = mms_two_value(h, state.t - h, prof.alpha, prof.beta, state.n)
-            got = state.maximin_share(i)
             assert got == want and type(got) is type(want), (state.t, i, got, want)
             self.reads += 1
 
@@ -66,6 +66,43 @@ def test_ledger_share_equals_oracle(profile, n_max, every):
             assert reader.reads == n * (m // every)
 
 
+# one instance per row: every profile kind the ledger answers on its own
+# path, mixed in one run
+SHARE_GRID = [
+    [(5, 1), (6, 3), (4, 4), (3, 1)],                               # beta | alpha
+    [(3, 2), (5, 3), (7, 2)],                                       # beta does not divide alpha
+    [(0.7, 0.1), (2.5, 0.3), (1.1, 1.1)],                           # non-dyadic floats, flat
+    [(Fraction(7, 3), Fraction(1, 2)), (Fraction(3, 2), Fraction(3, 2)), (2, 1)],
+    [(0, 0), (4, 0), (2.5, 0.0), (5, 1), (0.0, 0.0)],               # alpha = 0, beta = 0
+    [(5, 1), (3, 2), (0.7, 0.1), (Fraction(5, 2), 1), (1, 1), (2, 0)],
+]
+
+
+@pytest.mark.parametrize("profiles", SHARE_GRID)
+@pytest.mark.parametrize("every", [1, 3, 11])
+def test_ledger_shares_equal_the_oracle_on_a_profile_grid(profiles, every):
+    """`maximin_shares()` returns a new list whose every entry equals the cold
+    `mms_two_value` in value and type, read at every step or every k steps,
+    so that a warm start may jump several goods."""
+    n = len(profiles)
+    for seed in range(3):
+        inst = random_two_value(n, 60, seed, bias=0.25 + 0.15 * seed, profiles=profiles)
+        state = AllocationState(inst)
+        rng = random.Random(seed)
+        last = None
+        for g in inst.goods:
+            state.assign(g, rng.choice([1, 2, rng.randrange(1, n + 1)]))
+            if state.t % every:
+                continue
+            got = state.maximin_shares()
+            assert got is not last and len(got) == n
+            for i, (prof, mu) in enumerate(zip(inst.agents, got), 1):
+                h = state.high_seen[i - 1]
+                want = mms_two_value(h, state.t - h, prof.alpha, prof.beta, n)
+                assert mu == want and type(mu) is type(want), (seed, state.t, i, mu, want)
+            last = got
+
+
 def test_ledger_share_on_mixed_profiles_and_repeated_reads():
     inst = random_two_value(8, 200, 11, profiles=[p for p, _ in PROFILES[:5]] + [(6, 3)] * 3)
     state = AllocationState(inst)
@@ -77,8 +114,8 @@ def test_ledger_share_on_mixed_profiles_and_repeated_reads():
                 h = state.high_seen[i - 1]
                 prof = inst.agents[i - 1]
                 want = mms_two_value(h, state.t - h, prof.alpha, prof.beta, 8)
-                assert state.maximin_share(i) == want
-                assert state.maximin_share(i) == want  # a second read at the same t
+                assert state.maximin_shares()[i - 1] == want
+                assert state.maximin_shares()[i - 1] == want  # a second read at the same t
 
 
 @pytest.mark.parametrize("profile", [(1, 0), (4, 0), (0, 0), (2.5, 0.0), (0.0, 0.0)])
@@ -91,7 +128,7 @@ def test_zero_value_shares_skip_the_oracle(profile, monkeypatch):
             for s, _ in replay_states(trace)]
     oracle = CountingOracle()
     monkeypatch.setattr(metrics_module, "mms_two_value", oracle)
-    got = [s.maximin_share(1) for s, _ in replay_states(trace)]
+    got = [s.maximin_shares()[0] for s, _ in replay_states(trace)]
     assert got == want and [type(x) for x in got] == [type(x) for x in want]
     assert oracle.calls == 0
 
@@ -99,7 +136,7 @@ def test_zero_value_shares_skip_the_oracle(profile, monkeypatch):
 def test_ledger_share_needs_a_two_value_instance():
     state = AllocationState(interval_random(2, 4, 0))
     with pytest.raises(ValueError, match="2-value"):
-        state.maximin_share(1)
+        state.maximin_shares()
 
 
 @given(st.integers(0, 40), st.integers(0, 40), st.sampled_from([(5, 1), (2, 1), (1, 1), (6, 2)]),

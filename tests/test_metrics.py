@@ -607,6 +607,7 @@ def _assert_maxima_direct(tr):
     dmax, envy_out = tr.maxima()
     n = tr.n
     for i in range(1, n + 1):
+        assert dmax[2][i] <= dmax[1][i] <= dmax[0][i], (i, [d[i] for d in dmax])
         others = [j for j in range(1, n + 1) if j != i]
         for k in (0, 1, 2):
             direct = max((tr.removable_value(i, j, k) for j in others), default=0)
@@ -630,6 +631,47 @@ def test_ledger_maxima_equal_direct_max_and_count(data, draws):
         if replay.t > first_read:
             _assert_maxima_direct(replay.pairwise())
     _assert_maxima_direct(replay.pairwise())
+
+
+@pytest.mark.parametrize("kind", ["int", "float", "interval"])
+@pytest.mark.parametrize("n", [2, 4, 7])
+def test_ledger_maxima_stay_ordered_and_exact_after_every_observe(kind, n):
+    """Read from the first step on, the maxima keep d2 <= d1 <= d0 (removing
+    goods never raises a value) and equal a fresh rescan after every good, on
+    integer and non-dyadic float 2-value streams and on interval streams.
+    `_update_maxima` skips a viewer whose column a is no argmax and worth at
+    most d2, which is exact only while that chain holds."""
+    for seed in range(3):
+        if kind == "interval":
+            inst = interval_random(n, 120, seed)
+        else:
+            pool = [(5, 1), (2, 1), (3, 2), (1, 1), (4, 0)] if kind == "int" else \
+                [(0.7, 0.1), (2.5, 0.3), (1.1, 1.1), (0.3, 0.0), (3.3, 0.7)]
+            inst = random_two_value(n, 120, seed, bias=0.4, profiles=pool)
+        state = AllocationState(inst)
+        _assert_maxima_direct(state.pairwise())
+        rng = random.Random(seed)
+        for g in inst.goods:
+            # a few favourite owners, so that bundles grow unevenly
+            state.assign(g, rng.choice([1, 1, 2, rng.randrange(1, n + 1)]))
+            _assert_maxima_direct(state.pairwise())
+
+
+def test_ledger_ef2_maximum_moves_below_the_ef1_maximum():
+    """Three (5, 1)-agents.  Agent 2 holds two highs and three lows (d0 =
+    13, d1 = 8, d2 = 3 for viewer 1); agent 3 then collects lows.  Its fifth
+    low ties d2 = 3, and its sixth is worth 6 <= d1 in all but lifts its EF2
+    value to 4 > d2: the new column moves d2 though it is no argmax and
+    below d1."""
+    inst = Instance(agents=[AgentProfile(5, 1)] * 3,
+                    goods=[GoodEvent(t, high=(t <= 2,) * 3) for t in range(1, 12)])
+    state = AllocationState(inst)
+    _assert_maxima_direct(state.pairwise())
+    for g in inst.goods:
+        state.assign(g, 2 if g.index <= 5 else 3)
+        _assert_maxima_direct(state.pairwise())
+    dmax, _ = state.pairwise().maxima()
+    assert [d[1] for d in dmax] == [13, 8, 4]
 
 
 def test_ledger_maximum_rescans_when_its_argmax_drops_by_rounding():
