@@ -96,8 +96,26 @@ MUTANTS = [
     (
         "lift-transfer-silenced",
         "fairstream/reduction.py",
-        "                if float(oo[name]) < float(pr) / scale - _EQ_RTOL:\n",
+        "                if not _geq(float(oo[name]), float(pr) / scale):\n",
         "                if False:\n",
+        ["tests/test_reduction.py"],
+    ),
+    # the exactness test keeps only plain ints, so bools and Fractions take
+    # the float path
+    (
+        "exact-fast-path-int-only",
+        "fairstream/metrics.py",
+        "    return x.__class__ is not float and isinstance(x, _EXACT)\n",
+        "    return x.__class__ is int\n",
+        ["tests/test_numeric_policy.py"],
+    ),
+    # threshold rounding compares raw, so a value within REL_TOL above
+    # sqrt(alpha) becomes proxy-high
+    (
+        "threshold-raw-compare",
+        "fairstream/reduction.py",
+        "high=[_gt(v, thresholds[i]) for i, v in enumerate(g.values)]",
+        "high=[v > thresholds[i] for i, v in enumerate(g.values)]",
         ["tests/test_reduction.py"],
     ),
     # a ledger built before a step is never fed the goods assigned after it

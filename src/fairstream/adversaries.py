@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .driver import replay_states, run_online
 from .generators import lows_then_highs
+from .metrics import _ONE, _ratio
 from .model import (AgentProfile, AllocationState, Flavor, GoodEvent, Instance,
                     OnlineAlgorithm)
 
@@ -42,7 +43,7 @@ class AdversaryTrace:
     kind: str
     instance: Instance
     choices: list
-    reports: list  # per step: tuple of per-agent ratios (exact Fractions)
+    reports: list  # per step: tuple of per-agent ratios (`_ratio`, exact on integers)
     witness: Witness
     notes: dict = field(default_factory=dict)
 
@@ -87,21 +88,10 @@ class _AdaptiveRun:
         return agent
 
     def _ratios(self):
-        st = self.state
-        tr = st.pairwise()
-        d1 = tr.maxima()[0][1] if self.metric != "mms" else None
-        shares = st.maximin_shares() if self.metric == "mms" else None
-        out = []
-        for i in range(1, self.n + 1):
-            own = tr.val[i][i]
-            if self.metric == "mms":
-                mu = shares[i - 1]
-                out.append(Fraction(1) if mu == 0 else min(Fraction(1), Fraction(own, mu)))
-            else:
-                # min over j of min(1, own/d_j) is the ratio at the largest d_j
-                den = d1[i]
-                out.append(min(Fraction(1), Fraction(own, den)) if den > 0 else Fraction(1))
-        return tuple(out)
+        tr = self.state.pairwise()
+        # min over j of min(1, own/d_j) is the ratio at the largest d_j
+        dens = self.state.maximin_shares() if self.metric == "mms" else tr.maxima()[0][1][1:]
+        return tuple(_ratio(tr.val[i][i], den) for i, den in enumerate(dens, 1))
 
     def finish(self, **notes) -> AdversaryTrace:
         if self.witness is None:
@@ -210,15 +200,15 @@ def mms_adversary(alg: OnlineAlgorithm, n: int) -> AdversaryTrace:
     raise RuntimeError("middle-rank branch exhausted without a witness")
 
 
-def worst_step_share_ratio(alg: OnlineAlgorithm, instance: Instance) -> Fraction:
+def worst_step_share_ratio(alg: OnlineAlgorithm, instance: Instance):
     """Run `alg` over a 2-value instance and return the minimum over steps and
-    agents of the exact maximin-share ratio (shares from the replay's ledger)."""
-    worst = Fraction(1)
+    agents of the maximin-share ratio (`_ratio` of the replay's ledger: exact
+    on integer values, a float otherwise)."""
+    worst = _ONE
     for state, _ in replay_states(run_online(alg, instance)):
         val = state.pairwise().val
         for i, mu in enumerate(state.maximin_shares(), 1):
-            if mu > 0:
-                worst = min(worst, min(Fraction(1), Fraction(val[i][i], mu)))
+            worst = min(worst, _ratio(val[i][i], mu))
     return worst
 
 

@@ -1,11 +1,19 @@
 """Exact fairness metrics: EF/EF1/EF2 ratios, proportionality, maximin shares.
 
-Ratios are clamped to [0, 1] and computed exactly (as `Fraction`) whenever the
-underlying values are integers; float-valued instances fall back to float
-arithmetic with a 1e-9 relative tolerance on comparisons.  A ratio of at least
-1 is the shared `_ONE`.  A per-step `FairnessReport` keeps the ledger's
-numbers and gives its ratios on demand; `report_csv_rows` writes a ratio of
-two integers as text straight from their true division, with no `Fraction`.
+Numeric policy.  `REL_TOL`, `_is_exact`, `_ratio`, `_gt`, `_geq` and
+`_floor_certified` below are the one place that decides how values compare;
+every other module takes them from here.  Values of class `int` (`bool`
+included) and `Fraction` are exact: between two of them every comparison is
+exact, and a ratio min(1, num/den) is a `Fraction`, or the shared `_ONE` at 1.
+With a float involved, `_gt(a, b)` is a - b > REL_TOL * max(1, |a|, |b|) and
+`_geq(a, b)` is a >= b - REL_TOL * max(1, |a|, |b|), with REL_TOL = 1e-9, and
+a ratio is the float min(1.0, num/den).  Each exactness test checks
+`x.__class__ is float` before `isinstance`, which takes the slow
+`ABCMeta.__instancecheck__` path on a float.
+
+A per-step `FairnessReport` keeps the ledger's numbers and gives its ratios
+on demand; `report_csv_rows` writes a ratio of two integers as text straight
+from their true division, with no `Fraction`.
 
 Per-step reports use one identity: for a fixed agent i the numerator
 v_i(A_i) is the same against every other agent j, so
@@ -55,7 +63,7 @@ _EXACT = (int, Fraction)
 
 
 def _is_exact(x) -> bool:
-    return isinstance(x, _EXACT)
+    return x.__class__ is not float and isinstance(x, _EXACT)
 
 
 def _ratio(num, den):
@@ -64,7 +72,8 @@ def _ratio(num, den):
     The exact path compares first and builds one `Fraction` only for a
     ratio below 1; a ratio of at least 1 is `_ONE`.
     """
-    if isinstance(num, _EXACT) and isinstance(den, _EXACT):  # _is_exact, inlined: hot
+    if num.__class__ is not float and den.__class__ is not float and \
+            isinstance(num, _EXACT) and isinstance(den, _EXACT):  # _is_exact, inlined: hot
         if den <= 0:
             return _ONE
         return Fraction(num, den) if num < den else _ONE
@@ -75,9 +84,22 @@ def _ratio(num, den):
 
 def _gt(a, b) -> bool:
     """a > b, beyond relative tolerance when floats are involved."""
-    if isinstance(a, _EXACT) and isinstance(b, _EXACT):  # _is_exact, inlined: hot
+    if a.__class__ is not float and b.__class__ is not float and \
+            isinstance(a, _EXACT) and isinstance(b, _EXACT):  # _is_exact, inlined: hot
         return a > b
     return a - b > REL_TOL * max(1.0, abs(a), abs(b))
+
+
+def _geq(lhs, rhs) -> bool:
+    """lhs >= rhs, within relative tolerance when floats are involved.
+
+    The float side is nondecreasing in rhs, so lhs passes against every
+    right-hand side iff it passes against the largest one.
+    """
+    if lhs.__class__ is not float and rhs.__class__ is not float and \
+            isinstance(lhs, _EXACT) and isinstance(rhs, _EXACT):  # _is_exact, inlined
+        return lhs >= rhs
+    return lhs >= rhs - REL_TOL * max(1.0, abs(lhs), abs(rhs))
 
 
 def _floor_certified(lhs, seen) -> bool:
@@ -88,7 +110,8 @@ def _floor_certified(lhs, seen) -> bool:
     lhs = c * n * v a floor check c * v >= mu holds without the oracle
     whenever this is true; the float margin absorbs the rounding of mu.
     """
-    if isinstance(lhs, _EXACT) and isinstance(seen, _EXACT):
+    if lhs.__class__ is not float and seen.__class__ is not float and \
+            isinstance(lhs, _EXACT) and isinstance(seen, _EXACT):  # _is_exact, inlined
         return lhs >= seen
     return _gt(lhs, seen)
 
@@ -467,17 +490,6 @@ def _find_cycle(succ, remaining):
 # ---------------------------------------------------------------------------
 
 
-def _geq(lhs, rhs) -> bool:
-    """lhs >= rhs, within relative tolerance when floats are involved.
-
-    The float side is nondecreasing in rhs, so lhs passes against every
-    right-hand side iff it passes against the largest one.
-    """
-    if isinstance(lhs, _EXACT) and isinstance(rhs, _EXACT):
-        return lhs >= rhs
-    return lhs >= rhs - REL_TOL * max(1.0, abs(lhs), abs(rhs))
-
-
 class PairwiseTracker:
     """Incremental view of every bundle from every agent's perspective.
 
@@ -770,12 +782,12 @@ def _fmt(x) -> str:
         return str(x)
     if x is _ONE:
         return "1.0"
+    if x.__class__ is float:
+        return repr(x)
     if isinstance(x, Fraction):
         return repr(x.numerator / x.denominator)
     if x is None:
         return ""
-    if isinstance(x, float):
-        return repr(x)
     return str(x)
 
 

@@ -92,9 +92,6 @@ class Flavor(str, enum.Enum):
     INTERVAL = "interval"
 
 
-_INTERVAL_SLACK = 1e-9
-
-
 @dataclass
 class Instance:
     """A stream of goods over a fixed agent set, plus the foresight length.
@@ -138,7 +135,7 @@ class Instance:
                 raise ValueError(f"good {g.index}: interval instances carry real values")
             for i, v in enumerate(g.values, 1):
                 a = self.agents[i - 1].alpha
-                if v < 1 - _INTERVAL_SLACK or v > a * (1 + _INTERVAL_SLACK):
+                if not (1 - REL_TOL <= v <= a * (1 + REL_TOL)):  # NaN fails too
                     raise ValueError(f"good {g.index}: value {v} for agent {i} outside [1, {a}]")
 
     def with_foresight(self, ell: int) -> "Instance":
@@ -346,9 +343,9 @@ class OnlineAlgorithm:
         return {}
 
 
-# metrics imports this module, so its tracker is imported once the names above
+# metrics imports this module, so its names are imported once the names above
 # exist; an import inside `pairwise` would cost every run several microseconds.
 # `maximin_shares` looks `mms_two_value` up on metrics at call time, so a
 # rebinding of `metrics.mms_two_value` reaches the ledger as well.
 from . import metrics as _metrics  # noqa: E402
-from .metrics import PairwiseTracker, _fast_ok, _mms_two_value_fast  # noqa: E402
+from .metrics import REL_TOL, PairwiseTracker, _fast_ok, _mms_two_value_fast  # noqa: E402

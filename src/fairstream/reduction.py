@@ -17,17 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .driver import Trace, replay_states
-from .metrics import _ratio, mms_exhaustive, mms_share, mms_two_value
+from .metrics import REL_TOL, _geq, _gt, _ratio, mms_exhaustive, mms_share, mms_two_value
 from .model import AgentProfile, Flavor, GoodEvent, Instance, value
-
-_EQ_RTOL = 1e-9
-
-
-def _above_threshold(v: float, thr: float) -> bool:
-    # the boundary value itself rounds down to sqrt(alpha)
-    if math.isclose(v, thr, rel_tol=_EQ_RTOL, abs_tol=1e-12):
-        return False
-    return v > thr
 
 
 @dataclass
@@ -50,7 +41,8 @@ def threshold_round(instance: Instance) -> ThresholdProxy:
 
     The proxy keeps the good order and foresight; agent i's proxy profile is
     (alpha_i, sqrt(alpha_i)) and a good is proxy-high exactly when its
-    original value strictly exceeds sqrt(alpha_i)."""
+    original value exceeds sqrt(alpha_i) beyond the float tolerance (`_gt`),
+    so a value at the boundary rounds down to sqrt(alpha_i)."""
     if instance.flavor is not Flavor.INTERVAL:
         raise ValueError("threshold rounding applies to interval-restricted instances")
     for a in instance.agents:
@@ -59,7 +51,7 @@ def threshold_round(instance: Instance) -> ThresholdProxy:
     thresholds = [math.sqrt(a.alpha) for a in instance.agents]
     agents = [AgentProfile(a.alpha, thr) for a, thr in zip(instance.agents, thresholds)]
     goods = [GoodEvent(g.index,
-                       high=[_above_threshold(v, thresholds[i]) for i, v in enumerate(g.values)])
+                       high=[_gt(v, thresholds[i]) for i, v in enumerate(g.values)])
              for g in instance.goods]
     proxy = Instance(agents=agents, goods=goods, flavor=Flavor.TWO_VALUE,
                      foresight=instance.foresight)
@@ -85,10 +77,10 @@ def lift_guarantee(pair: ThresholdProxy, trace) -> list:
     """Replay a trace produced on the proxy and verify the guarantee transfer.
 
     For every step, agent and metric (ef, ef1, ef2, prop, mms) asserts
-    original_ratio >= proxy_ratio / sqrt(alpha_i) up to 1e-9, and that the
-    original maximin share never exceeds the proxy one.  The trace is
-    replayed on both instances (`replay_states`) and every ratio reads the
-    replay's ledger.  Shares exist on prefixes of at most 12 goods: the
+    original_ratio >= proxy_ratio / sqrt(alpha_i) within the float tolerance
+    (`_geq`), and that the original maximin share never exceeds the proxy
+    one.  The trace is replayed on both instances (`replay_states`) and every
+    ratio reads the replay's ledger.  Shares exist on prefixes of at most 12 goods: the
     original's is `mms_share`, the proxy's the exhaustive oracle checked
     against `mms_two_value`.  Returns the per-step lifted report rows."""
     if trace.instance != pair.proxy:
@@ -116,16 +108,16 @@ def lift_guarantee(pair: ThresholdProxy, trace) -> list:
                 mu_p = mms_exhaustive([value(prof_p, g, i) for g in sp.goods_seen], n)
                 h = sp.high_seen[i - 1]
                 mu_p2 = mms_two_value(h, t - h, prof_p.alpha, prof_p.beta, n)
-                if abs(mu_p - mu_p2) > _EQ_RTOL * max(1.0, mu_p):
+                if abs(mu_p - mu_p2) > REL_TOL * max(1.0, mu_p):
                     raise AssertionError(
                         f"proxy maximin oracles disagree at t={t}: {mu_p} vs {mu_p2}")
-                if mu_o > mu_p * (1 + _EQ_RTOL) + _EQ_RTOL:
+                if mu_o > mu_p * (1 + REL_TOL) + REL_TOL:
                     raise AssertionError(
                         f"original maximin share exceeds proxy at t={t}, agent {i}")
                 po["mms"] = _ratio(tr_prox.val[i][i], mu_p)
                 oo["mms"] = _ratio(tr_orig.val[i][i], mu_o)
             for name, pr in po.items():
-                if float(oo[name]) < float(pr) / scale - _EQ_RTOL:
+                if not _geq(float(oo[name]), float(pr) / scale):
                     raise AssertionError(
                         f"transfer violated at t={t}, agent {i}, {name}: "
                         f"original {oo[name]} < proxy {pr} / sqrt(alpha)")
@@ -138,7 +130,7 @@ def sandwich_holds(pair: ThresholdProxy, agent: int, subset) -> bool:
     thr = pair.thresholds[agent - 1]
     orig = sum(pair.original.goods[idx - 1].values[agent - 1] for idx in subset)
     prox = sum(proxy_value(pair, agent, idx) for idx in subset)
-    tol = _EQ_RTOL * max(1.0, orig, prox)
+    tol = REL_TOL * max(1.0, orig, prox)
     return prox / thr <= orig + tol and orig <= prox + tol
 
 

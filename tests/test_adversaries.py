@@ -9,7 +9,8 @@ from fairstream.adversaries import (_AdaptiveRun, check_sqrt_gap, ef1_adversary,
                                     worst_step_share_ratio)
 from fairstream.baselines import GreedyWelfare, RoundRobin
 from fairstream.deferred_priority import DeferredPriority
-from fairstream.driver import run_online
+from fairstream.driver import replay_states, run_online
+from fairstream.generators import random_two_value
 from fairstream.matching import NaiveMatching, PriorityMatching
 from fairstream.model import AgentProfile, OnlineAlgorithm
 
@@ -127,6 +128,62 @@ def test_adaptive_run_rejects_a_malformed_good_and_keeps_its_state():
     assert len(run.instance.goods) == run.state.t == len(run.choices) == 1
     run.emit([False, True])
     assert run.choices == [1, 2]
+
+
+def _fraction_ratios(state, metric):
+    """The adversaries' per-agent ratios as they were once built, with their
+    own clamped `Fraction`s."""
+    tr = state.pairwise()
+    if metric == "mms":
+        return tuple(Fraction(1) if mu == 0 else min(Fraction(1), Fraction(tr.val[i][i], mu))
+                     for i, mu in enumerate(state.maximin_shares(), 1))
+    d1 = tr.maxima()[0][1]
+    return tuple(min(Fraction(1), Fraction(tr.val[i][i], d1[i])) if d1[i] > 0 else Fraction(1)
+                 for i in range(1, state.n + 1))
+
+
+@pytest.mark.parametrize("alg_cls", [DeferredPriority, RoundRobin, GreedyWelfare, _AlwaysFirst])
+@pytest.mark.parametrize("make", [ef1_adversary, lambda alg: mms_adversary(alg, 3),
+                                  lambda alg: mms_adversary(alg, 4)],
+                         ids=["ef1", "mms-3", "mms-4"])
+def test_adversary_ratios_equal_their_fraction_form(alg_cls, make):
+    trace = make(alg_cls())
+    metric = trace.witness.metric
+    replay = run_online(alg_cls(), trace.instance)
+    assert replay.choices == trace.choices
+    for (state, _), got in zip(replay_states(replay), trace.reports):
+        want = _fraction_ratios(state, metric)
+        assert got == want
+        assert all(type(r) is Fraction for r in got)
+
+
+def _worst_fraction_ratio(alg, instance):
+    worst = Fraction(1)
+    for state, _ in replay_states(run_online(alg, instance)):
+        val = state.pairwise().val
+        for i, mu in enumerate(state.maximin_shares(), 1):
+            if mu > 0:
+                worst = min(worst, min(Fraction(1), Fraction(val[i][i], mu)))
+    return worst
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_worst_step_share_ratio_equals_its_fraction_form(seed):
+    inst = random_two_value(3, 12, seed)
+    for alg_cls in (DeferredPriority, RoundRobin, GreedyWelfare):
+        got = worst_step_share_ratio(alg_cls(), inst)
+        assert got == _worst_fraction_ratio(alg_cls(), inst)
+        assert type(got) is Fraction
+
+
+def test_worst_step_share_ratio_on_float_values_is_a_float():
+    inst = random_two_value(3, 12, 0, profiles=[(2.5, 0.5)])
+    got = worst_step_share_ratio(RoundRobin(), inst)
+    assert type(got) is float
+    want = min(min(1.0, state.pairwise().val[i][i] / mu)
+               for state, _ in replay_states(run_online(RoundRobin(), inst))
+               for i, mu in enumerate(state.maximin_shares(), 1) if mu > 0)
+    assert got == want < 1
 
 
 # ---------------------------------------------------------------------------

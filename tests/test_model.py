@@ -97,12 +97,33 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         Instance(agents=[AgentProfile(2.0, 1.0)],
                  goods=[GoodEvent(1, values=[3.5])], flavor=Flavor.INTERVAL)
+    with pytest.raises(ValueError, match="value nan for agent 1 outside"):
+        Instance(agents=[AgentProfile(5.0, 1.0)],
+                 goods=[GoodEvent(1, values=[float("nan")])], flavor=Flavor.INTERVAL)
     with pytest.raises(ValueError):
         Instance(agents=[AgentProfile(5, 1)], goods=[GoodEvent(1, high=[True])],
                  foresight=-1)
     with pytest.raises(ValueError):
         Instance(agents=[AgentProfile(5, 1), AgentProfile(5, 1)],
                  goods=[GoodEvent(1, high=[True])])
+
+
+@given(st.floats(1.0, 1e6), st.one_of(
+    st.floats(allow_nan=False),
+    st.floats(0.0, 2.0).map(lambda u: u * (1 + 1e-9 * (u - 1))),
+    st.integers(-2, 10)))
+@settings(max_examples=300)
+def test_interval_range_check_keeps_its_verdict_on_finite_values(alpha, v):
+    """The range check once read v < 1 - 1e-9 or v > alpha * (1 + 1e-9)."""
+    for a, w in ((alpha, v), (alpha, v * alpha), (alpha, alpha * (1 + 1e-9)), (alpha, 1 - 1e-9)):
+        rejected = w < 1 - 1e-9 or w > a * (1 + 1e-9)
+        inst = Instance([AgentProfile(a, 1.0)], [], Flavor.INTERVAL)
+        try:
+            inst.validate_good(GoodEvent(1, values=[w]))
+        except ValueError:
+            assert rejected, (a, w)
+        else:
+            assert not rejected, (a, w)
 
 
 def test_allocation_state_partition_and_tallies():

@@ -23,9 +23,10 @@ def _interval_instance(alpha, values, foresight=0):
 
 
 def test_threshold_rule_at_alpha_nine():
-    pair = threshold_round(_interval_instance(9, [4, 3, 2, 1, 9]))
-    got = [proxy_value(pair, 1, i) for i in range(1, 6)]
-    assert got == [9.0, 3.0, 3.0, 3.0, 9.0]  # the boundary value rounds down
+    # the boundary value rounds down, and so does one within REL_TOL above it
+    pair = threshold_round(_interval_instance(9, [4, 3, 2, 1, 9, 3 * (1 + 5e-10), 3 * (1 + 2e-9)]))
+    got = [proxy_value(pair, 1, i) for i in range(1, 8)]
+    assert got == [9.0, 3.0, 3.0, 3.0, 9.0, 3.0, 9.0]
 
 
 def test_threshold_requires_interval_flavor_and_headroom():
