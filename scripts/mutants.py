@@ -109,6 +109,15 @@ MUTANTS = [
         "    return x.__class__ is int\n",
         ["tests/test_numeric_policy.py"],
     ),
+    # the lift certifies the original share from the agent's own bundle alone,
+    # and so never checks it against a proxy share below seen / n
+    (
+        "lift-certificate-no-proxy-test",
+        "fairstream/reduction.py",
+        "if _gt(n * own_o, seen_o) and _gt(n * mu_p, seen_o):",
+        "if _gt(n * own_o, seen_o):",
+        ["tests/test_reduction.py"],
+    ),
     # threshold rounding compares raw, so a value within REL_TOL above
     # sqrt(alpha) becomes proxy-high
     (

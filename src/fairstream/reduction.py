@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .driver import Trace, replay_states
-from .metrics import REL_TOL, _geq, _gt, _ratio, mms_exhaustive, mms_share, mms_two_value
+from .metrics import (MMS_EXHAUSTIVE_MAX_GOODS, REL_TOL, _geq, _gt, _ratio, mms_exhaustive,
+                      mms_share, mms_two_value)
 from .model import AgentProfile, Flavor, GoodEvent, Instance, value
 
 
@@ -81,8 +82,13 @@ def lift_guarantee(pair: ThresholdProxy, trace) -> list:
     (`_geq`), and that the original maximin share never exceeds the proxy
     one.  The trace is replayed on both instances (`replay_states`) and every
     ratio reads the replay's ledger.  Shares exist on prefixes of at most 12 goods: the
-    original's is `mms_share`, the proxy's the exhaustive oracle checked
-    against `mms_two_value`.  Returns the per-step lifted report rows."""
+    proxy's is the exhaustive oracle checked against `mms_two_value`, the
+    original's is `mms_share`.  The original search is skipped when n * own_o
+    and n * mu_p both exceed seen_o, the original value agent i has seen
+    (`_gt`): mu_o never exceeds seen_o / n, so its ratio is 1 and it cannot
+    exceed mu_p.  The row then takes the `prop` ratio, which is that same 1
+    (`_ONE` on exact values, 1.0 once a float is seen), so a skipped search
+    leaves every row unchanged.  Returns the per-step lifted report rows."""
     if trace.instance != pair.proxy:
         raise ValueError("trace was not produced on this proxy instance")
     orig, prox = pair.original, pair.proxy
@@ -102,8 +108,7 @@ def lift_guarantee(pair: ThresholdProxy, trace) -> list:
                                 for j in range(1, n + 1) if j != i), default=1.0)
             po["prop"] = _ratio(n * tr_prox.val[i][i], tr_prox.seen_total[i])
             oo["prop"] = _ratio(n * tr_orig.val[i][i], tr_orig.seen_total[i])
-            mu_o = mms_share(so, orig, i)
-            if mu_o is not None:
+            if t <= MMS_EXHAUSTIVE_MAX_GOODS:
                 prof_p = prox.agents[i - 1]
                 mu_p = mms_exhaustive([value(prof_p, g, i) for g in sp.goods_seen], n)
                 h = sp.high_seen[i - 1]
@@ -111,11 +116,18 @@ def lift_guarantee(pair: ThresholdProxy, trace) -> list:
                 if abs(mu_p - mu_p2) > REL_TOL * max(1.0, mu_p):
                     raise AssertionError(
                         f"proxy maximin oracles disagree at t={t}: {mu_p} vs {mu_p2}")
-                if mu_o > mu_p * (1 + REL_TOL) + REL_TOL:
-                    raise AssertionError(
-                        f"original maximin share exceeds proxy at t={t}, agent {i}")
                 po["mms"] = _ratio(tr_prox.val[i][i], mu_p)
-                oo["mms"] = _ratio(tr_orig.val[i][i], mu_o)
+                own_o, seen_o = tr_orig.val[i][i], tr_orig.seen_total[i]
+                if _gt(n * own_o, seen_o) and _gt(n * mu_p, seen_o):
+                    # mu_o <= seen_o / n < own_o, mu_p: the ratio is 1, of
+                    # _ratio(own_o, mu_o)'s type, and mu_o cannot exceed mu_p
+                    oo["mms"] = oo["prop"]
+                else:
+                    mu_o = mms_share(so, orig, i)
+                    if mu_o > mu_p * (1 + REL_TOL) + REL_TOL:
+                        raise AssertionError(
+                            f"original maximin share exceeds proxy at t={t}, agent {i}")
+                    oo["mms"] = _ratio(own_o, mu_o)
             for name, pr in po.items():
                 if not _geq(float(oo[name]), float(pr) / scale):
                     raise AssertionError(
