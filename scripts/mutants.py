@@ -183,6 +183,27 @@ MUTANTS = [
         "        v = vals[idx]  # the largest remaining good, so v > 0\n",
         ["tests/test_metrics.py"],
     ),
+    # the fold search values k highs as k * alpha, the enumeration's
+    # convention, and so differs from the exhaustive oracle in the last bit
+    (
+        "fold-share-product-bases",
+        "fairstream/metrics.py",
+        "        sums = [folds[k] for k in dist]\n",
+        "        sums = [k * alpha for k in dist]\n",
+        ["tests/test_metrics.py"],
+    ),
+    # the fold search returns a float share on exact values too
+    (
+        "fold-share-always-float",
+        "fairstream/metrics.py",
+        """        best = max(best, min(sums))
+    return best if exact else float(best)
+""",
+        """        best = max(best, min(sums))
+    return float(best)
+""",
+        ["tests/test_metrics.py"],
+    ),
 ]
 
 # (name, file under src/, original text, mutated text, reason)

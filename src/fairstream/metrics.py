@@ -52,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .model import AllocationState, Flavor, Instance, value
 
@@ -306,6 +307,29 @@ def _mms_two_value_enumerate(h, l, alpha, beta, n):
         if best is None or cur > best:
             best = cur
     return best
+
+
+def _mms_two_value_folded(h, l, alpha, beta, n):
+    """`mms_exhaustive([alpha] * h + [beta] * l, n)` for alpha >= beta >= 0, in
+    value and type (where an int meets a `Fraction`, an integral share may
+    take the other class), by water-filling the lows onto a minimum bundle
+    over each weakly decreasing split of the highs.  Each bundle sums as in
+    the oracle, the left fold of its highs, then its lows, and rounding is
+    monotone, so no fold drops as a good is added: water-filling then reaches
+    the best minimum of each split, as every bundle it raised last stood at
+    or below that minimum just before."""
+    exact = (h == 0 or _is_exact(alpha)) and (l == 0 or _is_exact(beta))
+    if h + l < n:
+        return 0 if exact else 0.0
+    folds = list(accumulate([alpha] * h, initial=0))
+    best = 0
+    for dist in _capped_partitions(h, n, h):
+        sums = [folds[k] for k in dist]
+        for _ in range(l):
+            j = sums.index(min(sums))
+            sums[j] += beta
+        best = max(best, min(sums))
+    return best if exact else float(best)
 
 
 def _fast_ok(alpha, beta) -> bool:

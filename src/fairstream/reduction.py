@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .driver import Trace, replay_states
-from .metrics import (MMS_EXHAUSTIVE_MAX_GOODS, REL_TOL, _geq, _gt, _ratio, mms_exhaustive,
-                      mms_share, mms_two_value)
+from .metrics import (MMS_EXHAUSTIVE_MAX_GOODS, REL_TOL, _geq, _gt, _mms_two_value_folded,
+                      _ratio, mms_exhaustive, mms_two_value)
 from .model import AgentProfile, Flavor, GoodEvent, Instance, value
 
 
@@ -59,11 +59,6 @@ def threshold_round(instance: Instance) -> ThresholdProxy:
     return ThresholdProxy(instance, proxy, thresholds)
 
 
-def proxy_value(pair: ThresholdProxy, agent: int, good_index: int) -> float:
-    g = pair.proxy.goods[good_index - 1]
-    return value(pair.proxy.agents[agent - 1], g, agent)
-
-
 @dataclass
 class LiftedStep:
     """Fairness ratios of one step under proxy and original values."""
@@ -81,14 +76,16 @@ def lift_guarantee(pair: ThresholdProxy, trace) -> list:
     original_ratio >= proxy_ratio / sqrt(alpha_i) within the float tolerance
     (`_geq`), and that the original maximin share never exceeds the proxy
     one.  The trace is replayed on both instances (`replay_states`) and every
-    ratio reads the replay's ledger.  Shares exist on prefixes of at most 12 goods: the
-    proxy's is the exhaustive oracle checked against `mms_two_value`, the
-    original's is `mms_share`.  The original search is skipped when n * own_o
-    and n * mu_p both exceed seen_o, the original value agent i has seen
-    (`_gt`): mu_o never exceeds seen_o / n, so its ratio is 1 and it cannot
-    exceed mu_p.  The row then takes the `prop` ratio, which is that same 1
-    (`_ONE` on exact values, 1.0 once a float is seen), so a skipped search
-    leaves every row unchanged.  Returns the per-step lifted report rows."""
+    ratio reads the replay's ledger.  Shares exist on prefixes of at most 12
+    goods.  The proxy's is the fold search `_mms_two_value_folded`, equal to
+    the exhaustive oracle on the proxy values, checked against
+    `mms_two_value`; the original's is the exhaustive oracle.  The original
+    search is skipped when n * own_o and n * mu_p both exceed seen_o, the
+    original value agent i has seen (`_gt`): mu_o never exceeds seen_o / n,
+    so its ratio is 1 and it cannot exceed mu_p.  The row then takes the
+    `prop` ratio, which is that same 1 (`_ONE` on exact values, 1.0 once a
+    float is seen), so a skipped search leaves every row unchanged.  Returns
+    the per-step lifted report rows."""
     if trace.instance != pair.proxy:
         raise ValueError("trace was not produced on this proxy instance")
     orig, prox = pair.original, pair.proxy
@@ -110,8 +107,8 @@ def lift_guarantee(pair: ThresholdProxy, trace) -> list:
             oo["prop"] = _ratio(n * tr_orig.val[i][i], tr_orig.seen_total[i])
             if t <= MMS_EXHAUSTIVE_MAX_GOODS:
                 prof_p = prox.agents[i - 1]
-                mu_p = mms_exhaustive([value(prof_p, g, i) for g in sp.goods_seen], n)
                 h = sp.high_seen[i - 1]
+                mu_p = _mms_two_value_folded(h, t - h, prof_p.alpha, prof_p.beta, n)
                 mu_p2 = mms_two_value(h, t - h, prof_p.alpha, prof_p.beta, n)
                 if abs(mu_p - mu_p2) > REL_TOL * max(1.0, mu_p):
                     raise AssertionError(
@@ -123,7 +120,8 @@ def lift_guarantee(pair: ThresholdProxy, trace) -> list:
                     # _ratio(own_o, mu_o)'s type, and mu_o cannot exceed mu_p
                     oo["mms"] = oo["prop"]
                 else:
-                    mu_o = mms_share(so, orig, i)
+                    prof_o = orig.agents[i - 1]
+                    mu_o = mms_exhaustive([value(prof_o, g, i) for g in so.goods_seen], n)
                     if mu_o > mu_p * (1 + REL_TOL) + REL_TOL:
                         raise AssertionError(
                             f"original maximin share exceeds proxy at t={t}, agent {i}")
@@ -135,15 +133,6 @@ def lift_guarantee(pair: ThresholdProxy, trace) -> list:
                         f"original {oo[name]} < proxy {pr} / sqrt(alpha)")
             out.append(LiftedStep(t, i, po, oo))
     return out
-
-
-def sandwich_holds(pair: ThresholdProxy, agent: int, subset) -> bool:
-    """Check proxy(S)/sqrt(alpha) <= original(S) <= proxy(S) on a good subset."""
-    thr = pair.thresholds[agent - 1]
-    orig = sum(pair.original.goods[idx - 1].values[agent - 1] for idx in subset)
-    prox = sum(proxy_value(pair, agent, idx) for idx in subset)
-    tol = REL_TOL * max(1.0, orig, prox)
-    return prox / thr <= orig + tol and orig <= prox + tol
 
 
 def sidecar(pair: ThresholdProxy) -> dict:

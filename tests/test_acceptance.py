@@ -21,7 +21,8 @@ from fairstream.generators import interval_random, random_two_value
 from fairstream.matching import (NaiveMatching, NaiveMatchingAuditor, PriorityMatching,
                                  PriorityMatchingAuditor, check_asymptotics)
 from fairstream.metrics import mms_exhaustive, mms_two_value
-from fairstream.reduction import lift_guarantee, sandwich_holds, threshold_round
+from fairstream.reduction import lift_guarantee, threshold_round
+from oracles import sandwich_holds
 
 CORPUS_NS = (2, 3, 4, 5, 6)
 CORPUS_SEEDS = 1000

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from fairstream.generators import interval_random, random_two_value
 from fairstream.metrics import (REL_TOL, CycleError, EnvyGraph, PairwiseTracker, ReportBuilder,
-                                _gt, _is_exact, _mms_two_value_cached, _ratio,
+                                _gt, _is_exact, _mms_two_value_cached,
+                                _mms_two_value_enumerate, _mms_two_value_folded, _ratio,
                                 build_envy_graph, efk_ratio, efk_ratio_all, mms_exhaustive,
                                 mms_report, mms_two_value, prop_ratio, report_csv_rows,
                                 topo_sort)
@@ -133,6 +134,43 @@ def test_mms_exhaustive_counts_two_goods_for_a_gap_equal_to_the_next_good():
                           ([6.0, 4.0, 4.0, 4.0, 3.0, 1.0, 1.0], 2, 11.0)]:
         got = mms_exhaustive(vals, n)
         assert got == mms_brute_force(vals, n) == want and type(got) is type(want)
+
+
+def _fold_grid_profiles():
+    """Proxy profiles (alpha uniform in [2, 25], beta = sqrt(alpha)), integer
+    alphas with sqrt(alpha) (an integer float for squares), `Fraction`s, an
+    integer pair where beta does not divide alpha, and beta = 0."""
+    rng = random.Random(18)
+    alphas = [rng.uniform(2, 25) for _ in range(60)] + [4, 9, 16, 25, 7, 12]
+    return [(a, math.sqrt(a)) for a in alphas] + [
+        (Fraction(7, 2), Fraction(3, 2)), (Fraction(10, 3), Fraction(1, 3)), (7, 3),
+        (5.5, 0), (5, 0)]
+
+
+def test_fold_share_equals_the_exhaustive_oracle_on_a_profile_grid():
+    """The fold search is `mms_exhaustive` on the same values in value, repr
+    and type, on every h + l <= 12 and n <= 5.  The grid tells the fold
+    convention from the enumeration's k * alpha bases: they differ in the
+    last bit on some float shares."""
+    floats = product_differs = 0
+    for alpha, beta in _fold_grid_profiles():
+        for n in range(1, 6):
+            for h in range(13):
+                for l in range(13 - h):
+                    want = mms_exhaustive([alpha] * h + [beta] * l, n)
+                    got = _mms_two_value_folded(h, l, alpha, beta, n)
+                    assert repr(got) == repr(want) and type(got) is type(want), \
+                        (alpha, beta, h, l, n)
+                    if type(want) is float:
+                        floats += 1
+                        product = float(_mms_two_value_enumerate(h, l, alpha, beta, n))
+                        product_differs += repr(product) != repr(want)
+    assert 0 < product_differs < floats
+    # an int alpha with l = 0 gives an int share, with a float beta beside it
+    assert repr(_mms_two_value_folded(4, 0, 9, 3.0, 2)) == "18"
+    # where an int meets a Fraction, only the value is promised
+    assert _mms_two_value_folded(3, 7, Fraction(5, 2), 1, 2) == \
+        mms_exhaustive([Fraction(5, 2)] * 3 + [1] * 7, 2) == 7
 
 
 def test_mms_cache_keeps_integer_and_float_profiles_apart():

@@ -14,8 +14,9 @@ from fairstream.generators import interval_random
 from fairstream.matching import PriorityMatching
 from fairstream.metrics import REL_TOL, _geq, _ratio, mms_exhaustive, mms_share, mms_two_value
 from fairstream.model import AgentProfile, Flavor, GoodEvent, Instance, value
-from fairstream.reduction import (LiftedStep, ThresholdProxy, lift_guarantee, proxy_value,
-                                  sandwich_holds, sidecar, threshold_round)
+from fairstream.reduction import (LiftedStep, ThresholdProxy, lift_guarantee, sidecar,
+                                  threshold_round)
+from oracles import proxy_value, sandwich_holds
 
 
 def _interval_instance(alpha, values, foresight=0):
@@ -157,9 +158,10 @@ def test_lift_of_greedy_welfare_on_the_proxy_has_no_false_transfer_violation():
 
 
 def _searched_lift(pair, trace):
-    """`lift_guarantee` as it was before the share certificate: the original
-    maximin share is searched (`mms_share`) on every prefix of at most 12
-    goods.  The oracle for the certified rows."""
+    """`lift_guarantee` with both shares searched by the exhaustive oracle on
+    every prefix of at most 12 goods: the original one through `mms_share`,
+    with no certificate, and the proxy one on the proxy values, where the lift
+    runs the fold search.  The oracle for both skipped searches."""
     orig, prox = pair.original, pair.proxy
     n = orig.n
     out = []
@@ -202,14 +204,16 @@ def _searched_lift(pair, trace):
 
 @pytest.fixture
 def searched(monkeypatch):
-    """(t, agent) of every original share that `lift_guarantee` searched."""
+    """The values of every original share that `lift_guarantee` searched:
+    the lift's only `mms_exhaustive` calls, as its proxy share comes from the
+    fold search."""
     calls = []
 
-    def counting(state, instance, i):
-        calls.append((state.t, i))
-        return mms_share(state, instance, i)
+    def counting(values, n):
+        calls.append(values)
+        return mms_exhaustive(values, n)
 
-    monkeypatch.setattr(reduction, "mms_share", counting)
+    monkeypatch.setattr(reduction, "mms_exhaustive", counting)
     return calls
 
 
@@ -253,7 +257,7 @@ def test_certified_original_share_gives_the_searched_rows_on_float_values(n, sea
                 rows += sum(r.t <= 12 for r in _assert_certified_equals_searched(pair, rule_cls))
     # both paths are taken, and the search still runs at the 12-good cap
     assert 0 < len(searched) < rows
-    assert any(t == 12 for t, _ in searched)
+    assert any(len(values) == 12 for values in searched)
 
 
 def test_certified_original_share_gives_the_searched_rows_on_integer_values(searched):
@@ -289,7 +293,8 @@ def _two_agents(alpha, first):
 def test_share_certificate_is_strict_at_the_proportional_share(alpha, first, t, certified,
                                                                searched):
     _assert_certified_equals_searched(_two_agents(alpha, first), RoundRobin)
-    assert ((t, 1) not in searched) is certified
+    # agent 1's values at step t; agent 2 values every good at 1
+    assert (first[:t] not in searched) is certified
 
 
 @pytest.mark.parametrize("seed", range(6))
