@@ -81,16 +81,6 @@ MUTANTS = [
         '"1.0" if den <= 0 or num >= den - 1 else',
         ["tests/test_report_text.py"],
     ),
-    # the direct removable value sums the bundle in sorted order, not in the
-    # ledger's arrival order, and so differs from it in the last bit
-    (
-        "removable-value-sorted-sum",
-        "fairstream/metrics.py",
-        "    vals = [value(prof, state.goods_seen[idx - 1], viewer) for idx in state.bundles[owner - 1]]\n",
-        "    vals = sorted([value(prof, state.goods_seen[idx - 1], viewer)\n"
-        "                   for idx in state.bundles[owner - 1]], reverse=True)\n",
-        ["tests/test_metrics.py"],
-    ),
     # the interval -> proxy lift computes every ratio but never checks the
     # sqrt(alpha) transfer
     (

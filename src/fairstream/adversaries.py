@@ -18,7 +18,6 @@ step.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -212,31 +211,5 @@ def worst_step_share_ratio(alg: OnlineAlgorithm, instance: Instance):
     return worst
 
 
-def sqrt_gap(n: int):
-    """Compare the 1/(2n-1) floor with 1/sqrt(2*alpha) for alpha = 2n^2+2n.
-
-    Returns (1/(2n-1), 1/sqrt(2*alpha), gap).  The first always dominates and
-    the gap vanishes as n grows, which rephrases the maximin impossibility in
-    terms of the largest high-to-low value ratio."""
-    alpha = 2 * n * n + 2 * n
-    exact = Fraction(1, 2 * n - 1)
-    loose = 1.0 / math.sqrt(2 * alpha)
-    return exact, loose, float(exact) - loose
-
-
-def check_sqrt_gap(ns=(10, 100, 1000), tail=1e-3) -> bool:
-    """Assert the inequality chain 1/(2n-1) >= 1/sqrt(2*alpha) with a gap that
-    shrinks monotonically below `tail` along `ns`."""
-    gaps = []
-    for n in ns:
-        exact, loose, gap = sqrt_gap(n)
-        if float(exact) < loose:
-            return False
-        gaps.append(gap)
-    if any(g2 >= g1 for g1, g2 in zip(gaps, gaps[1:])):
-        return False
-    return gaps[-1] < tail
-
-
 __all__ = ["AdversaryTrace", "Witness", "ef1_adversary", "mms_adversary",
-           "lows_then_highs", "worst_step_share_ratio", "sqrt_gap", "check_sqrt_gap"]
+           "lows_then_highs", "worst_step_share_ratio"]

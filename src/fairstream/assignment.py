@@ -23,12 +23,13 @@ from __future__ import annotations
 import math
 
 
-def max_weight_assignment(weights, n_goods=None):
+def max_weight_assignment(weights):
     """Assign every good (column) to a distinct agent (row), maximizing total
-    weight.  Requires n_goods <= n_agents.  Returns a per-agent list of good
-    columns (0-based) with None for unmatched agents: among the
-    maximum-weight assignments, the one with the lexicographically smallest
-    per-agent vector, unmatched agents sorting last.
+    weight.  The rows have one weight per good and there are no more goods
+    than agents.  Returns a per-agent list of good columns (0-based) with
+    None for unmatched agents: among the maximum-weight assignments, the one
+    with the lexicographically smallest per-agent vector, unmatched agents
+    sorting last.
 
     One exact Hungarian solve finds it.  Weights are ints or Fractions,
     scaled to integers by the lcm of their denominators.  With k goods, n
@@ -43,15 +44,13 @@ def max_weight_assignment(weights, n_goods=None):
     negative, and the solve runs over k goods, not n agents.
     """
     n = len(weights)
-    k = n_goods
-    if k is None:
-        k = len(weights[0]) if weights else 0
+    k = len(weights[0]) if weights else 0
     if k > n:
         raise ValueError("more goods than agents in one round")
     if k == 0:
         return [None] * n
-    scale = math.lcm(*{row[c].denominator for row in weights for c in range(k)})
-    rows = [[(row[c] * scale).numerator for c in range(k)] for row in weights]
+    scale = math.lcm(*{w.denominator for row in weights for w in row})
+    rows = [[(w * scale).numerator for w in row] for row in weights]
     base = k + 1
     unit = base ** n
     shift = max(0, max(map(max, rows))) * unit + k * base ** (n - 1)

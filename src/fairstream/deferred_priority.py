@@ -49,21 +49,6 @@ class PriorityState:
         return cls(n=n, H=[n] * n, L=[2 * n - 1] * n, chi=[0] * n)
 
 
-def level_sets(H, n: int):
-    """Map level -> agents whose H entry sits at that level (levels 0..n)."""
-    out = {k: [] for k in range(n + 1)}
-    for i, h in enumerate(H, 1):
-        if 0 <= h <= n:
-            out[h].append(i)
-    return out
-
-
-def check_level_sets(ps: PriorityState) -> bool:
-    """True iff at most k agents have H at or below k, for every 0 <= k <= n."""
-    ordered = sorted(ps.H)
-    return all(h >= pos for pos, h in enumerate(ordered, 1))
-
-
 def dp_step(ps: PriorityState, g: GoodEvent, agents) -> int:
     """Allocate one arriving good, mutating `ps`.  Returns the recipient.
 
@@ -298,11 +283,3 @@ def check_level_set_condition(trace):
     """Audit the sorted-H level-set condition at every step end."""
     return [v for v in audit_trace(trace, DeferredPriorityAuditor(trace.instance))
             if v.check == "level-sets"]
-
-
-def check_share_bounds(trace):
-    """Audit the per-type maximin floors (1/2, 1/3, 1/(2n-1)) and the 1/4
-    proportionality floor for high-holding two-value agents, exactly."""
-    return [v for v in audit_trace(trace, DeferredPriorityAuditor(trace.instance,
-                                                                  share_bounds=True))
-            if v.check.startswith(("mms-", "prop-"))]

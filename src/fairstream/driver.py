@@ -96,14 +96,12 @@ def _join(vec) -> str:
     return ";".join([("1" if v else "0") if v.__class__ is bool else str(v) for v in vec])
 
 
-def trace_csv_rows(trace: Trace, columns=None):
-    """Yield the trace as CSV rows (header first): core columns plus the
-    algorithm's extra columns, vector-valued extras semicolon-joined.
-    Deterministic for replay diffing.  Rows are formed one at a time as they
-    are read; wrap the call in `list` for a list."""
-    if columns is None:
-        keys = trace.steps[0].extras.keys() if trace.steps else ()
-        columns = tuple(keys)
+def trace_csv_rows(trace: Trace, columns):
+    """Yield the trace as CSV rows (header first): core columns plus
+    `columns`, the rule's `trace_columns`, read from each step's extras, with
+    vector-valued extras semicolon-joined.  Deterministic for replay diffing.
+    Rows are formed one at a time as they are read; wrap the call in `list`
+    for a list."""
     yield ",".join(TRACE_CORE_COLUMNS + tuple(columns))
     for s in trace.steps:
         row = [str(s.t), str(s.good), str(s.agent), "1" if s.as_high else "0"]

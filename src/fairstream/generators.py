@@ -61,10 +61,12 @@ def lows_then_highs(n: int, alpha: int, foresight: int | None = None) -> Instanc
 def interval_random(n: int, m: int, seed: int, alphas=None,
                     foresight: int = 0) -> Instance:
     """Interval-restricted stream: agent i's value for each good is uniform
-    in [1, alpha_i]."""
+    in [1, alpha_i].  `alphas`, when given, holds one alpha per agent."""
     rng = random.Random(seed)
     if alphas is None:
         alphas = [rng.uniform(2.0, 16.0) for _ in range(n)]
+    elif len(alphas) != n:
+        raise ValueError(f"need {n} alphas, one per agent, got {len(alphas)}")
     agents = [AgentProfile(float(a), 1.0) for a in alphas]
     goods = [GoodEvent(t, values=[rng.uniform(1.0, agents[i].alpha) for i in range(n)])
              for t in range(1, m + 1)]

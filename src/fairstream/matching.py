@@ -64,20 +64,6 @@ PATTERN_TABLE = {
 }
 
 
-def pattern_table_json() -> list:
-    """The pattern table as audit-friendly JSON rows (one per 2x2 pattern)."""
-    rows = []
-    for key in sorted(PATTERN_TABLE, key=lambda k: tuple(int(b) for b in k)):
-        entry = PATTERN_TABLE[key]
-        rows.append({
-            "agent1": ["high" if key[0] else "low", "high" if key[1] else "low"],
-            "agent2": ["high" if key[2] else "low", "high" if key[3] else "low"],
-            "assignment": entry if entry in (CONTESTED_I, CONTESTED_II)
-            else {"agent1": entry, "agent2": "g'" if entry == "g" else "g"},
-        })
-    return rows
-
-
 @dataclass(frozen=True)
 class Commitment:
     """A previewed good pinned to a recipient; honored exactly as committed."""
@@ -216,7 +202,7 @@ def plan_round(graph, agents, goods, round_index: int) -> RoundPlan:
         cols = priority_assignment(_high_masks(agents, goods),
                                    sorted(range(n), key=pi.__getitem__))
     else:
-        cols = max_weight_assignment(aux_weight_matrix(pi, agents, goods), len(goods))
+        cols = max_weight_assignment(aux_weight_matrix(pi, agents, goods))
     assignment = {}
     for a, col in enumerate(cols, 1):
         if col is not None:
@@ -224,12 +210,12 @@ def plan_round(graph, agents, goods, round_index: int) -> RoundPlan:
     return RoundPlan(round_index, tuple(pi), assignment)
 
 
-def priority_round_plan(state: AllocationState, instance: Instance, goods) -> RoundPlan:
+def priority_round_plan(state: AllocationState, goods) -> RoundPlan:
     """Round plan from an explicit allocation state (current + window goods)."""
-    if state.t % instance.n != 0:
+    if state.t % state.n != 0:
         raise ValueError("round plans are built when t = 1 mod n")
-    graph = build_envy_graph(state, instance)
-    return plan_round(graph, instance.agents, list(goods), state.t // instance.n + 1)
+    graph = build_envy_graph(state)
+    return plan_round(graph, state.instance.agents, list(goods), state.t // state.n + 1)
 
 
 class PriorityMatching(OnlineAlgorithm):

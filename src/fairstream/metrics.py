@@ -117,52 +117,6 @@ def _floor_certified(lhs, seen) -> bool:
     return _gt(lhs, seen)
 
 
-def removable_value(state: AllocationState, viewer: int, owner: int, k: int):
-    """Value of owner's bundle to `viewer` after removing its k best goods.
-
-    Summed in the ledger's order (`PairwiseTracker.removable_value` on
-    interval values): the bundle folded in arrival order, minus its largest
-    good and, for k = 2, its second largest.  A bundle of at most k goods
-    gives full - full (0, or 0.0 on floats), never a rounding residue.
-    """
-    prof = state.profile(viewer)
-    vals = [value(prof, state.goods_seen[idx - 1], viewer) for idx in state.bundles[owner - 1]]
-    full = 0
-    for v in vals:  # not `sum`, which compensates float rounding on Python >= 3.12
-        full += v
-    if k == 0:
-        return full
-    if len(vals) <= k:
-        return full - full
-    top = sorted(vals, reverse=True)
-    return full - top[0] - (top[1] if k == 2 else 0)
-
-
-def efk_ratio(state: AllocationState, instance: Instance, i: int, j: int, k: int):
-    """Largest rho <= 1 such that agent i is rho-EFk towards agent j.
-
-    The removed set minimizing the denominator is the k goods of A_j that i
-    values most (valid because valuations are additive and nonnegative).
-    Vacuous cases (empty or fully removable bundle) give ratio 1.
-    """
-    if k not in (0, 1, 2):
-        raise ValueError("only k in {0, 1, 2} supported")
-    den = removable_value(state, i, j, k)
-    return _ratio(state.own_value(i), den)
-
-
-def efk_ratio_all(state: AllocationState, instance: Instance, i: int, k: int):
-    """Worst-case rho-EFk of agent i towards every other agent."""
-    ratios = [efk_ratio(state, instance, i, j, k) for j in range(1, state.n + 1) if j != i]
-    return min(ratios, default=_ONE)
-
-
-def prop_ratio(state: AllocationState, instance: Instance, i: int):
-    """Largest rho <= 1 with v_i(A_i) >= rho * v_i(allocated goods)/n."""
-    total = state.seen_value(i)
-    return _ratio(state.n * state.own_value(i), total)
-
-
 # ---------------------------------------------------------------------------
 # maximin-share oracles
 # ---------------------------------------------------------------------------
@@ -397,7 +351,7 @@ def mms_two_value(h: int, l: int, alpha, beta, n: int):
     return _mms_two_value_cached(h, l, alpha, beta, n)
 
 
-def mms_share(state: AllocationState, instance: Instance, i: int):
+def mms_share(state: AllocationState, i: int):
     """Maximin share of agent i over the goods seen so far, or None.
 
     2-value instances read the run's ledger (`state.maximin_shares()`),
@@ -406,19 +360,12 @@ def mms_share(state: AllocationState, instance: Instance, i: int):
     exhaustive oracle while t <= 12 and return None beyond that: the oracle
     is unavailable rather than approximated.
     """
-    if instance.flavor is Flavor.TWO_VALUE:
+    if state.instance.flavor is Flavor.TWO_VALUE:
         return state.maximin_shares()[i - 1]
     if state.t > MMS_EXHAUSTIVE_MAX_GOODS:
         return None
     prof = state.profile(i)
     return mms_exhaustive([value(prof, g, i) for g in state.goods_seen], state.n)
-
-
-def mms_report(state: AllocationState, instance: Instance, i: int):
-    """(maximin share, clamped ratio) of agent i over the goods seen so far,
-    or None where `mms_share` is unavailable."""
-    mu = mms_share(state, instance, i)
-    return None if mu is None else (mu, _ratio(state.own_value(i), mu))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +389,7 @@ class EnvyGraph:
     edges: dict = field(default_factory=dict)  # (i, j) -> v_i(A_j) - v_i(A_i)
 
 
-def build_envy_graph(state: AllocationState, instance: Instance) -> EnvyGraph:
+def build_envy_graph(state: AllocationState) -> EnvyGraph:
     g = EnvyGraph(state.n)
     for i in range(1, state.n + 1):
         mine = state.own_value(i)
@@ -791,7 +738,7 @@ class ReportBuilder:
         if self.instance.flavor is Flavor.TWO_VALUE:
             mmsv = state.maximin_shares()
         else:
-            mmsv = [mms_share(state, self.instance, i) for i in range(1, n + 1)]
+            mmsv = [mms_share(state, i) for i in range(1, n + 1)]
         return FairnessReport(state.t, [val[i][i] for i in range(1, n + 1)], d0[1:], d1[1:],
                               d2[1:], tr.seen_total[1:], mmsv, deg[1:])
 

@@ -158,15 +158,6 @@ def sees_high(profile: AgentProfile, event: GoodEvent, agent: int) -> bool:
     return event.values[agent - 1] == profile.alpha
 
 
-def bundle_value(instance: Instance, agent: int, bundle) :
-    """Additive value of a set of good indices from `agent`'s perspective."""
-    prof = instance.agents[agent - 1]
-    total = 0
-    for idx in bundle:
-        total += value(prof, instance.goods[idx - 1], agent)
-    return total
-
-
 class AllocationState:
     """Mutable per-run allocation record and the run's one ledger.
 
@@ -179,9 +170,9 @@ class AllocationState:
     value from every agent's view.  It is built from the log the first time
     anyone asks for it and fed by every `assign` after that, so a run that
     never asks never builds it.  Rules, auditors and reports all read this
-    one copy and must not mutate it.  `bundle_value`, `own_value` and
-    `seen_value` rescan the bundles; they are the direct oracles the ledger
-    is tested against.
+    one copy and must not mutate it.  `bundle_value` and `own_value` rescan
+    the bundles; `metrics.build_envy_graph` reads them, and `tests/oracles.py`
+    holds the other direct oracles the ledger is checked against.
 
     On 2-value instances `maximin_shares()` answers every agent's maximin
     share of the goods seen so far, each warm-started from its last answer.
@@ -304,10 +295,6 @@ class AllocationState:
 
     def own_value(self, agent: int):
         return self.bundle_value(agent, agent)
-
-    def seen_value(self, agent: int):
-        prof = self._agents[agent - 1]
-        return sum(value(prof, g, agent) for g in self.goods_seen)
 
 
 class OnlineAlgorithm:

@@ -4,15 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairstream.adversaries import (_AdaptiveRun, check_sqrt_gap, ef1_adversary,
-                                    lows_then_highs, mms_adversary, sqrt_gap,
-                                    worst_step_share_ratio)
+from fairstream.adversaries import (_AdaptiveRun, ef1_adversary, lows_then_highs,
+                                    mms_adversary, worst_step_share_ratio)
 from fairstream.baselines import GreedyWelfare, RoundRobin
 from fairstream.deferred_priority import DeferredPriority
 from fairstream.driver import replay_states, run_online
 from fairstream.generators import random_two_value
 from fairstream.matching import NaiveMatching, PriorityMatching
 from fairstream.model import AgentProfile, OnlineAlgorithm
+from oracles import check_sqrt_gap, sqrt_gap
 
 
 class _AlwaysFirst(OnlineAlgorithm):

@@ -46,12 +46,12 @@ def test_all_indifferent_picks_lexicographically_smallest():
 def test_rectangular_leaves_someone_out():
     w = [[5], [7], [7]]
     # agents 2 and 3 tie on the single good; lex order leaves agent 2 matched
-    assert max_weight_assignment(w, 1) == [None, 0, None]
+    assert max_weight_assignment(w) == [None, 0, None]
 
 
 def test_more_goods_than_agents_rejected():
     with pytest.raises(ValueError):
-        max_weight_assignment([[1, 2]], 2)
+        max_weight_assignment([[1, 2]])
 
 
 def test_tie_resolution_prefers_small_goods_for_small_agents():
@@ -73,7 +73,7 @@ def weight_problems(draw):
 @settings(max_examples=120, deadline=None)
 def test_fraction_weights_match_exhaustive(problem):
     rows, k = problem
-    assert max_weight_assignment(rows, k) == _exhaustive(rows, len(rows), k)
+    assert max_weight_assignment(rows) == _exhaustive(rows, len(rows), k)
 
 
 def test_large_instance_matches_brute_force():
@@ -139,11 +139,11 @@ def _partial_rounds(n, orders):
 def test_partial_round_matches_exhaustive_on_every_mask_and_order(n):
     for high, pi, k in _partial_rounds(n, list(permutations(range(1, n + 1)))):
         w = priority_weights(high, pi, k)
-        assert max_weight_assignment(w, k) == _exhaustive(w, n, k), (high, pi)
+        assert max_weight_assignment(w) == _exhaustive(w, n, k), (high, pi)
 
 
 def test_partial_round_matches_exhaustive_on_every_mask_at_n4():
     orders = [(1, 2, 3, 4), (4, 3, 2, 1), (2, 4, 1, 3), (3, 1, 4, 2)]
     for high, pi, k in _partial_rounds(4, orders):
         w = priority_weights(high, pi, k)
-        assert max_weight_assignment(w, k) == _exhaustive(w, 4, k), (high, pi)
+        assert max_weight_assignment(w) == _exhaustive(w, 4, k), (high, pi)

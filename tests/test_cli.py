@@ -65,6 +65,18 @@ def test_config_errors_exit_one():
                    "--n", "4", "--m", "8", "--seed", "0") == EXIT_INPUT
 
 
+@pytest.mark.parametrize("n, alphas", [("3", "3,4"), ("2", "3,4,5")],
+                         ids=["too-few", "too-many"])
+def test_interval_alpha_list_of_the_wrong_length_exits_one(capsys, n, alphas):
+    """An --alpha list of neither one nor n entries is bad input: exit 1 with
+    an `error:` line that names the alphas, and no traceback."""
+    code = run_cli("run", "--alg", "greedy-welfare", "--gen", "interval-random",
+                   "--n", n, "--m", "4", "--alpha", alphas)
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert err.startswith("error: ") and "alphas" in err and "Traceback" not in err
+
+
 def test_malformed_instance_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"n":2,"agents":[{"alpha":5,"beta":1},{"alpha":5,"beta":1}],'

@@ -4,12 +4,11 @@ from hypothesis import strategies as st
 
 from fairstream.deferred_priority import (DeferredPriority, DeferredPriorityAuditor,
                                           PriorityState, check_level_set_condition,
-                                          check_level_sets, check_share_bounds,
-                                          check_structural_guarantees, dp_step,
-                                          level_sets)
+                                          check_structural_guarantees, dp_step)
 from fairstream.driver import run_online
 from fairstream.generators import random_two_value
 from fairstream.model import AgentProfile, GoodEvent, Instance
+from oracles import check_level_sets, check_share_bounds, level_sets
 
 
 def _profiles(*pairs):

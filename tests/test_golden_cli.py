@@ -8,12 +8,9 @@ the stdout bytes, and both exit codes, are compared with
 `fixtures/golden_cli.json`.  This pins the bytes the command writes, not only
 the rows the library builds.
 
-Re-record the fixture only when a change is meant to alter outputs::
-
-    PYTHONPATH=src python tests/test_golden_cli.py --record
+Re-record the fixture, only when a change is meant to alter outputs, with
+`PYTHONPATH=src python tests/test_golden_cli.py --record`.
 """
-import hashlib
-import json
 import os
 import subprocess
 import sys
@@ -22,8 +19,9 @@ from pathlib import Path
 import pytest
 
 import fairstream
+from golden import FIXTURES, expected, record, sha256
 
-FIXTURE = Path(__file__).parent / "fixtures" / "golden_cli.json"
+FIXTURE = FIXTURES / "golden_cli.json"
 SRC = str(Path(fairstream.__file__).resolve().parents[1])
 
 CASES = {
@@ -39,10 +37,6 @@ def fairstream_cli(*argv):
     env = {**os.environ, "PYTHONPATH": SRC}
     return subprocess.run([sys.executable, "-m", "fairstream", *argv], env=env,
                           capture_output=True, timeout=120)
-
-
-def sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def run_case(argv, tmp_dir: Path) -> dict:
@@ -65,14 +59,8 @@ def run_case(argv, tmp_dir: Path) -> dict:
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_outputs_match_golden_digests(case, tmp_path):
-    golden = json.loads(FIXTURE.read_text())
-    assert run_case(CASES[case], tmp_path) == golden[case]
+    assert run_case(CASES[case], tmp_path) == expected(FIXTURE)[case]
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as d:
-        digests = {case: run_case(argv, Path(d)) for case, argv in sorted(CASES.items())}
-    FIXTURE.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(digests)} digests to {FIXTURE}")
+if __name__ == "__main__":
+    record(FIXTURE, CASES, lambda case, tmp_dir: run_case(CASES[case], tmp_dir))

@@ -24,14 +24,11 @@ mix int alpha with float sqrt(alpha).  Its rows pin the type of each ratio
 (a ``Fraction`` on all-integer operands, a float otherwise), including the
 clamped 0 and 1, and a value equal to sqrt(alpha) rounding down.
 
-Re-record the fixture only when a change is meant to alter outputs::
-
-    PYTHONPATH=src python tests/test_golden_lift.py --record
+Re-record the fixture, only when a change is meant to alter outputs, with
+`PYTHONPATH=src python tests/test_golden_lift.py --record`.
 """
 import hashlib
-import json
 import random
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,8 +42,9 @@ from fairstream.jsonl import write_instance
 from fairstream.matching import PriorityMatching
 from fairstream.model import AgentProfile, Flavor, GoodEvent, Instance
 from fairstream.reduction import lift_guarantee, threshold_round
+from golden import FIXTURES, expected, record
 
-FIXTURE = Path(__file__).parent / "fixtures" / "golden_lift.json"
+FIXTURE = FIXTURES / "golden_lift.json"
 
 SEEDS = (31, 32, 33)
 RULES = {"deferred-priority": DeferredPriority, "priority-matching": PriorityMatching}
@@ -106,18 +104,15 @@ def digests(streams, tmp_dir: Path) -> dict:
     return {name: d.hexdigest() for name, d in h.items()}
 
 
+def compute(case, tmp_dir: Path) -> dict:
+    make, *args = CASES[case]
+    return digests(make(*args), tmp_dir)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_lift_rows_and_reduce_outputs_match_golden_digests(case, tmp_path):
-    golden = json.loads(FIXTURE.read_text())
-    make, *args = CASES[case]
-    assert digests(make(*args), tmp_path) == golden[case]
+    assert compute(case, tmp_path) == expected(FIXTURE)[case]
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as d:
-        recorded = {case: digests(make(*args), Path(d))
-                    for case, (make, *args) in sorted(CASES.items())}
-    FIXTURE.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(recorded)} cases to {FIXTURE}")
+if __name__ == "__main__":
+    record(FIXTURE, CASES, compute)

@@ -8,22 +8,19 @@ every size the rule is run at, m divisible and not divisible by n (partial
 final rounds), and the default, float, alpha == beta and (0, 0) profiles, so
 a solver change that alters a single tie-break fails here.
 
-Re-record the fixture only when a change is meant to alter outputs::
-
-    PYTHONPATH=src python tests/test_golden_matching.py --record
+Re-record the fixture, only when a change is meant to alter outputs, with
+`PYTHONPATH=src python tests/test_golden_matching.py --record`.
 """
 import hashlib
-import json
-import sys
-from pathlib import Path
 
 import pytest
 
 from fairstream.driver import run_online, trace_csv_rows
 from fairstream.generators import random_two_value
 from fairstream.matching import PriorityMatching
+from golden import FIXTURES, expected, record
 
-FIXTURE = Path(__file__).parent / "fixtures" / "golden_matching.json"
+FIXTURE = FIXTURES / "golden_matching.json"
 
 SIZES = (2, 3, 4, 6, 7, 8, 12, 16)
 PROFILES = {
@@ -57,11 +54,8 @@ def digest(n, m, prof):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_priority_matching_traces_match_golden_digests(case):
-    golden = json.loads(FIXTURE.read_text())
-    assert digest(*CASES[case]) == golden[case]
+    assert digest(*CASES[case]) == expected(FIXTURE)[case]
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
-    digests = {case: digest(*args) for case, args in sorted(CASES.items())}
-    FIXTURE.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(digests)} digests to {FIXTURE}")
+if __name__ == "__main__":
+    record(FIXTURE, CASES, lambda case, _: digest(*CASES[case]))

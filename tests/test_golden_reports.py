@@ -5,20 +5,17 @@ and report CSV, and its exit code, with `fixtures/golden_reports.json`.  The
 digests pin every report field byte for byte, so a change to the metrics
 that alters a ratio, its type's formatting or an envy count fails here.
 
-Re-record the fixture only when a change is meant to alter outputs::
-
-    PYTHONPATH=src python tests/test_golden_reports.py --record
+Re-record the fixture, only when a change is meant to alter outputs, with
+`PYTHONPATH=src python tests/test_golden_reports.py --record`.
 """
-import hashlib
-import json
-import sys
 from pathlib import Path
 
 import pytest
 
 from fairstream.cli import main
+from golden import FIXTURES, expected, record, sha256
 
-FIXTURE = Path(__file__).parent / "fixtures" / "golden_reports.json"
+FIXTURE = FIXTURES / "golden_reports.json"
 
 CASES = {
     "deferred-priority-n1": ["--alg", "deferred-priority", "--gen", "random-2value",
@@ -49,21 +46,15 @@ def run_case(argv, tmp_dir: Path) -> dict:
                  "--trace-out", str(trace), "--report-out", str(report)])
     return {
         "exit": code,
-        "trace_sha256": hashlib.sha256(trace.read_bytes()).hexdigest(),
-        "report_sha256": hashlib.sha256(report.read_bytes()).hexdigest(),
+        "trace_sha256": sha256(trace.read_bytes()),
+        "report_sha256": sha256(report.read_bytes()),
     }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_step_reports_match_golden_digests(case, tmp_path):
-    golden = json.loads(FIXTURE.read_text())
-    assert run_case(CASES[case], tmp_path) == golden[case]
+    assert run_case(CASES[case], tmp_path) == expected(FIXTURE)[case]
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as d:
-        digests = {case: run_case(argv, Path(d)) for case, argv in sorted(CASES.items())}
-    FIXTURE.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(digests)} digests to {FIXTURE}")
+if __name__ == "__main__":
+    record(FIXTURE, CASES, lambda case, tmp_dir: run_case(CASES[case], tmp_dir))

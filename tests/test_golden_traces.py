@@ -17,15 +17,10 @@ The grid:
 * round-robin and greedy-welfare on the same two pools, and on float and
   integer-valued interval streams (where a value can equal alpha).
 
-Re-record the fixture only when a change is meant to alter outputs::
-
-    PYTHONPATH=src python tests/test_golden_traces.py --record
+Re-record the fixture, only when a change is meant to alter outputs, with
+`PYTHONPATH=src python tests/test_golden_traces.py --record`.
 """
-import hashlib
-import json
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -34,8 +29,9 @@ from fairstream.deferred_priority import DeferredPriority
 from fairstream.driver import run_online, trace_csv_rows
 from fairstream.generators import interval_random, random_two_value
 from fairstream.model import AgentProfile, Flavor, GoodEvent, Instance
+from golden import FIXTURES, expected, record, sha256
 
-FIXTURE = Path(__file__).parent / "fixtures" / "golden_traces.json"
+FIXTURE = FIXTURES / "golden_traces.json"
 
 PROFILES = {
     "default": None,
@@ -77,16 +73,13 @@ for _rule in ("round-robin", "greedy-welfare"):
 def digest(rule, make_instance):
     alg = RULES[rule]()
     rows = trace_csv_rows(run_online(alg, make_instance()), alg.trace_columns)
-    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    return sha256("\n".join(rows).encode())
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_traces_match_golden_digests(case):
-    golden = json.loads(FIXTURE.read_text())
-    assert digest(*CASES[case]) == golden[case]
+    assert digest(*CASES[case]) == expected(FIXTURE)[case]
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
-    digests = {case: digest(*args) for case, args in sorted(CASES.items())}
-    FIXTURE.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(digests)} digests to {FIXTURE}")
+if __name__ == "__main__":
+    record(FIXTURE, CASES, lambda case, _: digest(*CASES[case]))

@@ -19,17 +19,12 @@ The adversary cases store the SHA-256 of `ef1_adversary`/`mms_adversary`
 runs (choices, per-step ratios, witness, notes) against the no-lookahead
 rules for n = 2..5, and `worst_step_share_ratio` on `lows_then_highs`.
 
-Re-record the fixture only when a change is meant to alter outputs::
-
-    PYTHONPATH=src python tests/test_golden_verdicts.py --record
+Re-record the fixture, only when a change is meant to alter outputs, with
+`PYTHONPATH=src python tests/test_golden_verdicts.py --record`.
 """
 import dataclasses
-import hashlib
-import json
 import random
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -40,8 +35,9 @@ from fairstream.driver import Trace, audit_trace, run_online
 from fairstream.generators import lows_then_highs, random_two_value
 from fairstream.matching import (NaiveMatching, PriorityMatching, check_alternation_guarantees,
                                  check_asymptotics, check_round_guarantees)
+from golden import FIXTURES, expected, record, sha256
 
-FIXTURE = Path(__file__).parent / "fixtures" / "golden_verdicts.json"
+FIXTURE = FIXTURES / "golden_verdicts.json"
 
 SEEDS = (1, 2, 3, 4, 5, 6)
 SWAPS = ("round", "far")
@@ -91,7 +87,7 @@ def _summary(violations):
     seq = " ".join(f"{v.check}@{v.t}" for v in violations)
     by_check = Counter(v.check for v in violations)
     return {"count": len(violations), "by_check": dict(sorted(by_check.items())),
-            "sha256": hashlib.sha256(seq.encode()).hexdigest()}
+            "sha256": sha256(seq.encode())}
 
 
 def verdict(rule, n, how, seed):
@@ -129,7 +125,7 @@ def _adversary_text(adv):
 def adversary(kind, alg, n):
     rule = next(cls for cls in NO_LOOKAHEAD if cls.name == alg)
     adv = ef1_adversary(rule()) if kind == "ef1" else mms_adversary(rule(), n)
-    return hashlib.sha256(_adversary_text(adv).encode()).hexdigest()
+    return sha256(_adversary_text(adv).encode())
 
 
 def known(alg, n):
@@ -164,18 +160,14 @@ def compute(case):
     return fn(*args)
 
 
-@pytest.fixture(scope="module")
-def golden():
-    return json.loads(FIXTURE.read_text())
-
-
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_verdicts_and_adversaries_match_golden(case, golden):
-    assert compute(case) == golden[case]
+def test_verdicts_and_adversaries_match_golden(case):
+    assert compute(case) == expected(FIXTURE)[case]
 
 
-def test_faulty_traces_trip_every_auditor(golden):
+def test_faulty_traces_trip_every_auditor():
     """The fixture is not a record of silence: each auditor reports violations."""
+    golden = expected(FIXTURE)
     for rule in ("priority", "deferred", "naive"):
         assert sum(v["count"] for k, v in golden.items()
                    if k.startswith(f"verdict-{rule}-")) > 0, rule
@@ -184,7 +176,5 @@ def test_faulty_traces_trip_every_auditor(golden):
                    if k.startswith(f"asymptotics-{rule}-") for res in v.values()), rule
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
-    data = {case: compute(case) for case in sorted(CASES)}
-    FIXTURE.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(data)} cases to {FIXTURE}")
+if __name__ == "__main__":
+    record(FIXTURE, CASES, lambda case, _: compute(case), indent=1)

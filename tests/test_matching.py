@@ -3,8 +3,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fairstream.driver import run_online, trace_csv_rows
 from fairstream.generators import random_two_value
@@ -12,11 +10,9 @@ from fairstream.matching import (CONTESTED_I, CONTESTED_II, Commitment, NaiveMat
                                  PATTERN_TABLE, PriorityMatching, RoundPlan,
                                  aux_weight_matrix, check_alternation_guarantees,
                                  check_asymptotics, check_round_guarantees,
-                                 naive_step, pattern_table_json, plan_round,
-                                 priority_round_plan)
-from fairstream.metrics import build_envy_graph
-from fairstream.model import (AgentProfile, AllocationState, GoodEvent, Instance,
-                              sees_high, value)
+                                 naive_step, plan_round, priority_round_plan)
+from fairstream.model import AgentProfile, AllocationState, GoodEvent, Instance
+from oracles import pattern_table_json
 
 FIXTURE = Path(__file__).parent / "fixtures" / "pattern_table.json"
 
@@ -136,7 +132,7 @@ def test_round_plan_documented_example():
                            GoodEvent(2, high=[False, True])],
                     foresight=1)
     state = AllocationState(inst)
-    plan = priority_round_plan(state, inst, inst.goods)
+    plan = priority_round_plan(state, inst.goods)
     assert plan.pi == (1, 2)
     assert plan.assignment == {1: 1, 2: 2}
     W = paper_weights(plan.pi, inst.agents, inst.goods)
@@ -200,7 +196,7 @@ def test_priority_internal_graph_matches_reference_plan():
         t = step.t
         if (t - 1) % n == 0:
             goods = inst.goods[t - 1: t - 1 + n]
-            ref = priority_round_plan(state, inst, goods)
+            ref = priority_round_plan(state, goods)
             committed = dict(
                 (int(pair.split(":")[0]), int(pair.split(":")[1]))
                 for pair in step.extras["committed"].split(";"))

@@ -11,12 +11,13 @@ from fairstream.generators import interval_random, random_two_value
 from fairstream.metrics import (REL_TOL, CycleError, EnvyGraph, PairwiseTracker, ReportBuilder,
                                 _gt, _is_exact, _mms_two_value_cached,
                                 _mms_two_value_enumerate, _mms_two_value_folded, _ratio,
-                                build_envy_graph, efk_ratio, efk_ratio_all, mms_exhaustive,
-                                mms_report, mms_two_value, prop_ratio, report_csv_rows,
-                                topo_sort)
+                                build_envy_graph, mms_exhaustive, mms_two_value,
+                                report_csv_rows, topo_sort)
 from fairstream.model import (AgentProfile, AllocationState, Flavor, GoodEvent,
                               Instance)
 from fairstream.reduction import threshold_round
+from oracles import (efk_ratio, efk_ratio_all, mms_report, prop_ratio, removable_value,
+                     seen_value)
 
 
 def _state(profiles, masks, owners):
@@ -35,7 +36,7 @@ def test_ef1_ratio_worked_example_one_high_in_singleton():
                        [(False, False), (False, False), (False, False), (False, True)],
                        [1, 1, 1, 1])
     st_.bundles = [[1, 3, 4], [2]]
-    assert efk_ratio(st_, inst, 2, 1, 1) == Fraction(1, 2)
+    assert efk_ratio(st_, 2, 1, 1) == Fraction(1, 2)
 
 
 def test_ef1_ratio_worked_example_two_highs():
@@ -45,15 +46,15 @@ def test_ef1_ratio_worked_example_two_highs():
                         (True, False)],
                        [1, 2, 2, 1, 2])
     assert st_.bundles == [[1, 4], [2, 3, 5]]
-    assert efk_ratio(st_, inst, 1, 2, 1) == Fraction(1, 3)
+    assert efk_ratio(st_, 1, 2, 1) == Fraction(1, 3)
 
 
 def test_efk_vacuous_and_validation():
     st_, inst = _state([(5, 1), (5, 1)], [(True, True)], [1])
-    assert efk_ratio(st_, inst, 1, 2, 0) == 1  # empty bundle: nothing to envy
-    assert efk_ratio(st_, inst, 2, 1, 1) == 1  # fully removable
+    assert efk_ratio(st_, 1, 2, 0) == 1  # empty bundle: nothing to envy
+    assert efk_ratio(st_, 2, 1, 1) == 1  # fully removable
     with pytest.raises(ValueError):
-        efk_ratio(st_, inst, 1, 2, 3)
+        efk_ratio(st_, 1, 2, 3)
 
 
 def test_prop_ratio_examples():
@@ -62,12 +63,12 @@ def test_prop_ratio_examples():
                         (True, True)],
                        [1, 2, 2, 1, 1])
     # v_1(A_1) = 1+1+5 = 7, v_1(S) = 13 -> min(1, 14/13) = 1
-    assert prop_ratio(st_, inst, 1) == 1
+    assert prop_ratio(st_, 1) == 1
     st_.bundles = [[1, 4], [2, 3, 5]]
     # v_1(A_1) = 2, still 13 seen: 4/13
-    assert prop_ratio(st_, inst, 1) == Fraction(4, 13)
+    assert prop_ratio(st_, 1) == Fraction(4, 13)
     empty, inst2 = _state([(5, 1)], [], [])
-    assert prop_ratio(empty, inst2, 1) == 1
+    assert prop_ratio(empty, 1) == 1
 
 
 def test_prop_derived_example_six_of_thirteen():
@@ -76,8 +77,8 @@ def test_prop_derived_example_six_of_thirteen():
                        [(True, False), (True, False), (False, False), (False, False),
                         (False, False)],
                        [1, 2, 1, 2, 2])
-    assert st_.own_value(1) == 6 and st_.seen_value(1) == 13
-    assert prop_ratio(st_, inst, 1) == Fraction(12, 13)
+    assert st_.own_value(1) == 6 and seen_value(st_, 1) == 13
+    assert prop_ratio(st_, 1) == Fraction(12, 13)
 
 
 def test_mms_exhaustive_examples():
@@ -219,7 +220,7 @@ def test_mms_two_value_concentration_beats_balance():
 
 def test_mms_report_two_value_and_interval():
     st_, inst = _state([(5, 1), (5, 1)], [(True, False)], [1])
-    mu, ratio = mms_report(st_, inst, 1)
+    mu, ratio = mms_report(st_, 1)
     assert mu == 0 and ratio == 1  # t < n: share is zero, trivially satisfied
     agents = [AgentProfile(4.0, 1.0)]
     goods = [GoodEvent(i, values=[1.5]) for i in range(1, 14)]
@@ -227,15 +228,15 @@ def test_mms_report_two_value_and_interval():
     st2 = AllocationState(inst2)
     for g in goods:
         st2.assign(g, 1)
-    assert mms_report(st2, inst2, 1) is None  # exhaustive oracle out of reach
+    assert mms_report(st2, 1) is None  # exhaustive oracle out of reach
 
 
 def test_envy_graph_examples():
     st_, inst = _state([(5, 1), (5, 1)], [(False, True), (True, False)], [1, 2])
-    g = build_envy_graph(st_, inst)
+    g = build_envy_graph(st_)
     assert g.edges == {(1, 2): 4, (2, 1): 4}
     empty, inst2 = _state([(5, 1), (5, 1)], [], [])
-    assert build_envy_graph(empty, inst2).edges == {}
+    assert build_envy_graph(empty).edges == {}
 
 
 def test_topo_sort_determinism_and_cycles():
@@ -479,17 +480,17 @@ def test_report_matches_direct_metrics(data):
     state, inst = data
     exact = _integer_valued(inst)
     rep, _ = _report_of(state, inst)
-    edges = build_envy_graph(state, inst).edges
+    edges = build_envy_graph(state).edges
     assert rep.t == state.t
     if state.n == 1:  # nothing to envy, on float instances too
         assert all(type(x) is Fraction and x == 1 for x in rep.ef + rep.ef1 + rep.ef2)
     for i in range(1, state.n + 1):
-        mms = mms_report(state, inst, i)
+        mms = mms_report(state, i)
         want = {
-            "ef": efk_ratio_all(state, inst, i, 0),
-            "ef1": efk_ratio_all(state, inst, i, 1),
-            "ef2": efk_ratio_all(state, inst, i, 2),
-            "prop": prop_ratio(state, inst, i),
+            "ef": efk_ratio_all(state, i, 0),
+            "ef1": efk_ratio_all(state, i, 1),
+            "ef2": efk_ratio_all(state, i, 2),
+            "prop": prop_ratio(state, i),
             "mms_value": None if mms is None else mms[0],
             "mms_ratio": None if mms is None else mms[1],
             "envy_out": sum(1 for (a, _) in edges if a == i),
@@ -520,17 +521,17 @@ def test_efk_monotone_in_k_and_implication_chain(data):
     state, inst = data
     n = state.n
     for i in range(1, n + 1):
-        e0 = efk_ratio_all(state, inst, i, 0)
-        e1 = efk_ratio_all(state, inst, i, 1)
-        e2 = efk_ratio_all(state, inst, i, 2)
+        e0 = efk_ratio_all(state, i, 0)
+        e1 = efk_ratio_all(state, i, 1)
+        e2 = efk_ratio_all(state, i, 2)
         assert e0 <= e1 <= e2
         own = state.own_value(i)
-        total = state.seen_value(i)
+        total = seen_value(state, i)
         # rho-envy-freeness forces rho-proportionality...
         assert n * own >= e0 * total
         # ...and rho-proportionality forces the same share of the maximin value
-        pr = prop_ratio(state, inst, i)
-        rep = mms_report(state, inst, i)
+        pr = prop_ratio(state, i)
+        rep = mms_report(state, i)
         assert own >= pr * rep[0]
 
 
@@ -548,9 +549,9 @@ def test_ratios_invariant_under_scaling_one_agent(data, c):
         state2.assign(g, owner)
     for k in (0, 1, 2):
         for j in range(2, n + 1):
-            assert efk_ratio(state, inst, 1, j, k) == efk_ratio(state2, inst2, 1, j, k)
-    assert prop_ratio(state, inst, 1) == prop_ratio(state2, inst2, 1)
-    assert mms_report(state, inst, 1)[1] == mms_report(state2, inst2, 1)[1]
+            assert efk_ratio(state, 1, j, k) == efk_ratio(state2, 1, j, k)
+    assert prop_ratio(state, 1) == prop_ratio(state2, 1)
+    assert mms_report(state, 1)[1] == mms_report(state2, 1)[1]
 
 
 @given(random_states(wide=True), st.data())
@@ -558,8 +559,6 @@ def test_ratios_invariant_under_scaling_one_agent(data, c):
 def test_pairwise_tracker_matches_direct_metrics(data, draws):
     """The run ledger, first read at any step and fed by `assign` after that,
     equals a tracker fed from step 1; both equal the direct functions."""
-    from fairstream.metrics import removable_value
-
     state, inst = data
     first_read = draws.draw(st.integers(0, state.t))
     tracker = PairwiseTracker(inst)
@@ -573,20 +572,18 @@ def test_pairwise_tracker_matches_direct_metrics(data, draws):
     assert ledger is replay.pairwise()
     assert vars(ledger) == vars(tracker)
     for i in range(1, state.n + 1):
-        assert tracker.seen_total[i] == replay.seen_value(i)
+        assert tracker.seen_total[i] == seen_value(replay, i)
         for j in range(1, state.n + 1):
             assert tracker.val[i][j] == replay.bundle_value(i, j)
             for k in (0, 1, 2):
                 assert tracker.removable_value(i, j, k) == removable_value(replay, i, j, k)
-    assert tracker.envy_graph().edges == build_envy_graph(replay, inst).edges
+    assert tracker.envy_graph().edges == build_envy_graph(replay).edges
 
 
 def test_direct_removable_value_sums_in_the_ledger_order():
     """On arbitrary float interval values the direct function and the ledger
     agree to the last bit (and in type) for every (i, j, k): both fold the
     bundle in arrival order and then subtract its best goods."""
-    from fairstream.metrics import removable_value
-
     for seed in range(200):
         inst = interval_random(3, 10, seed)
         rng = random.Random(seed)
@@ -604,8 +601,6 @@ def test_direct_removable_value_on_float_two_value_profiles_is_within_tolerance(
     drop_l * beta) in one step, the direct function the removed goods one at
     a time: they may differ in the last bit, never beyond REL_TOL.  The
     witness pins that divergence, so a change unifying the two is deliberate."""
-    from fairstream.metrics import removable_value
-
     witness = None
     for seed in range(200):
         inst = random_two_value(3, 10, seed, profiles=[(0.7, 0.1), (2.5, 0.3), (1.1, 1.1)])
@@ -636,7 +631,7 @@ def test_report_on_small_interval_bundles_equals_direct_ratios(n, m):
         rep = ReportBuilder(inst).report(state)
         assert rep.ef2 == [1] * n, (seed, rep.ef2)
         for k, got in enumerate((rep.ef[0], rep.ef1[0], rep.ef2[0])):
-            assert got == efk_ratio_all(state, inst, 1, k), (seed, k, got)
+            assert got == efk_ratio_all(state, 1, k), (seed, k, got)
 
 
 def _assert_maxima_direct(tr):

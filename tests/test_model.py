@@ -15,8 +15,8 @@ from fairstream.jsonl import (InstanceFormatError, dumps_instance, loads_instanc
                               write_instance)
 from fairstream.matching import NaiveMatching, PriorityMatching
 from fairstream.model import (AgentProfile, AgentType, AllocationState, Flavor,
-                              GoodEvent, Instance, OnlineAlgorithm, bundle_value,
-                              classify_agent, value)
+                              GoodEvent, Instance, OnlineAlgorithm, classify_agent, value)
+from oracles import bundle_value
 
 
 def test_classify_agent_examples():

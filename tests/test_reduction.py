@@ -179,7 +179,7 @@ def _searched_lift(pair, trace):
                                 for j in range(1, n + 1) if j != i), default=1.0)
             po["prop"] = _ratio(n * tr_prox.val[i][i], tr_prox.seen_total[i])
             oo["prop"] = _ratio(n * tr_orig.val[i][i], tr_orig.seen_total[i])
-            mu_o = mms_share(so, orig, i)
+            mu_o = mms_share(so, i)
             if mu_o is not None:
                 prof_p = prox.agents[i - 1]
                 mu_p = mms_exhaustive([value(prof_p, g, i) for g in sp.goods_seen], n)
