@@ -173,26 +173,31 @@ MUTANTS = [
         "        v = vals[idx]  # the largest remaining good, so v > 0\n",
         ["tests/test_metrics.py"],
     ),
-    # the fold search values k highs as k * alpha, the enumeration's
+    # the fold search values k highs as k * alpha, `mms_two_value`'s
     # convention, and so differs from the exhaustive oracle in the last bit
     (
         "fold-share-product-bases",
         "fairstream/metrics.py",
-        "        sums = [folds[k] for k in dist]\n",
-        "        sums = [k * alpha for k in dist]\n",
+        "_split_share(h, l, list(accumulate([alpha] * h, initial=0)), beta, n, h)",
+        "_split_share(h, l, [k * alpha for k in range(h + 1)], beta, n, h)",
         ["tests/test_metrics.py"],
     ),
     # the fold search returns a float share on exact values too
     (
         "fold-share-always-float",
         "fairstream/metrics.py",
-        """        best = max(best, min(sums))
-    return best if exact else float(best)
-""",
-        """        best = max(best, min(sums))
-    return float(best)
-""",
+        "initial=0)), beta, n, h))\n    return best if exact else float(best)\n",
+        "initial=0)), beta, n, h))\n    return float(best)\n",
         ["tests/test_metrics.py"],
+    ),
+    # `mms_two_value` folds k highs left, the lift's convention, instead of
+    # k * alpha, and so moves the last bit of some float shares
+    (
+        "split-share-fold-bases",
+        "fairstream/metrics.py",
+        "_split_share(h, l, [k * alpha for k in range(h + 1)], beta, n, cap)",
+        "_split_share(h, l, list(accumulate([alpha] * h, initial=0 * alpha)), beta, n, cap)",
+        ["tests/test_golden_shares.py"],
     ),
 ]
 

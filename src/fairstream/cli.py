@@ -71,12 +71,19 @@ def make_algorithm(name: str):
         raise ValueError(f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}")
 
 
+def _parse(kind, text, option: str):
+    """`kind(text)`, or a ValueError that names the option at fault."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{option}: cannot read {text!r}") from None
+
+
 def _parse_profiles(text: str):
-    pairs = []
-    for part in text.split(","):
+    def pair(part):  # "5" leaves b empty, which int() rejects
         a, _, b = part.partition(":")
-        pairs.append((float(a) if "." in a else int(a), float(b) if "." in b else int(b)))
-    return pairs
+        return (float(a) if "." in a else int(a), float(b) if "." in b else int(b))
+    return [_parse(pair, part, "--profiles") for part in text.split(",")]
 
 
 def _load_or_generate(args) -> Instance:
@@ -93,16 +100,23 @@ def _generate_from_args(args) -> Instance:
     kind = args.gen
     if kind is None:
         raise ValueError("provide --instance FILE or --gen KIND")
+    if args.n < 1:
+        raise ValueError(f"--n: need at least one agent, got {args.n}")
+    if args.m < 0:
+        raise ValueError(f"--m: need a nonnegative number of goods, got {args.m}")
+    if not 0 <= args.bias <= 1:
+        raise ValueError(f"--bias: need a probability in [0, 1], got {args.bias}")
     if kind == "random-2value":
         profiles = _parse_profiles(args.profiles) if args.profiles else None
         return random_two_value(args.n, args.m, args.seed, bias=args.bias,
                                 profiles=profiles, foresight=args.foresight or 0)
     if kind == "staircase":
-        return staircase(args.n, alpha=int(args.alpha) if args.alpha else None)
+        return staircase(args.n, alpha=_parse(int, args.alpha, "--alpha") if args.alpha else None)
     if kind == "lows-then-highs":
-        return lows_then_highs(args.n, alpha=int(args.alpha) if args.alpha else args.n)
+        return lows_then_highs(args.n, alpha=_parse(int, args.alpha or args.n, "--alpha"))
     if kind == "interval-random":
-        alphas = [float(a) for a in args.alpha.split(",")] if args.alpha else None
+        alphas = ([_parse(float, a, "--alpha") for a in args.alpha.split(",")]
+                  if args.alpha else None)
         if alphas is not None and len(alphas) == 1:
             alphas = alphas * args.n
         return interval_random(args.n, args.m, args.seed, alphas=alphas,
@@ -187,7 +201,7 @@ def cmd_adversary(args) -> int:
     elif args.kind == "mms":
         trace = mms_adversary(alg, args.n)
     elif args.kind == "known":
-        inst = lows_then_highs(args.n, alpha=int(args.alpha) if args.alpha else args.n)
+        inst = lows_then_highs(args.n, alpha=_parse(int, args.alpha or args.n, "--alpha"))
         if args.out_instance:
             write_instance(inst, args.out_instance)
         from .adversaries import worst_step_share_ratio

@@ -47,8 +47,8 @@ def lows_then_highs(n: int, alpha: int, foresight: int | None = None) -> Instanc
     """n universally low goods followed by n-1 universally high ones; with
     alpha >= n no allocation rule, however much lookahead, can keep every
     agent above 1/n of its maximin share at every step."""
-    if alpha < n:
-        raise ValueError(f"need alpha >= n, got alpha={alpha}")
+    if not 1 <= n <= alpha:
+        raise ValueError(f"need 1 <= n <= alpha, got n={n}, alpha={alpha}")
     if foresight is None:
         foresight = n - 1
     agents = [AgentProfile(alpha, 1) for _ in range(n)]

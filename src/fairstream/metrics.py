@@ -42,10 +42,10 @@ Two independent maximin-share oracles are provided:
   and symmetry breaks on equal bundle sums and runs of equal goods.  Each is
   exact on floats too, so a float share is one assignment's sum to the last
   bit;
-* `mms_two_value` solves the two-distinct-values case exactly at any scale by
-  enumerating high-good distributions and water-filling the identical low
-  goods (with a fast closed feasibility test when the low value divides the
-  high value).
+* `mms_two_value` solves the two-distinct-values case exactly at any scale
+  (a binary search on a closed feasibility test when the integer low value
+  divides the high value), otherwise by `_split_share`, the split search
+  that also gives the lift its proxy share.
 """
 from __future__ import annotations
 
@@ -229,16 +229,6 @@ def mms_exhaustive(values, n: int):
     return best if exact else float(best)
 
 
-def _water_fill_min(bases, increment, count):
-    """Add `count` goods of value `increment` one at a time onto a current
-    minimum bundle (lowest index on ties); return the resulting minimum."""
-    sums = list(bases)
-    for _ in range(count):
-        j = sums.index(min(sums))
-        sums[j] += increment
-    return min(sums)
-
-
 def _capped_partitions(total, parts, cap):
     """Weakly decreasing distributions of `total` over `parts` slots, each <= cap."""
     if parts == 1:
@@ -251,13 +241,19 @@ def _capped_partitions(total, parts, cap):
             yield (first,) + rest
 
 
-def _mms_two_value_enumerate(h, l, alpha, beta, n):
-    ub = (h * alpha + l * beta) / n
-    cap = max(int(ub // alpha) + 1, -(-h // n)) if alpha > 0 else 1
+def _split_share(h, l, bases, beta, n, cap):
+    """The first strictly largest minimum bundle (None if no split fits)
+    over the weakly decreasing splits of h highs into n bundles of at most
+    `cap` highs: k highs start at `bases[k]`, then each low adds `beta` to
+    the first minimum bundle.  As rounding is monotone no sum drops as a good
+    is added, so this water-filling reaches the best minimum of each split."""
     best = None
     for dist in _capped_partitions(h, n, cap):
-        bases = [k * alpha for k in dist]
-        cur = _water_fill_min(bases, beta, l) if beta > 0 and l else min(bases)
+        sums = [bases[k] for k in dist]
+        for _ in range(l):
+            j = sums.index(min(sums))
+            sums[j] += beta
+        cur = min(sums)
         if best is None or cur > best:
             best = cur
     return best
@@ -266,23 +262,12 @@ def _mms_two_value_enumerate(h, l, alpha, beta, n):
 def _mms_two_value_folded(h, l, alpha, beta, n):
     """`mms_exhaustive([alpha] * h + [beta] * l, n)` for alpha >= beta >= 0, in
     value and type (where an int meets a `Fraction`, an integral share may
-    take the other class), by water-filling the lows onto a minimum bundle
-    over each weakly decreasing split of the highs.  Each bundle sums as in
-    the oracle, the left fold of its highs, then its lows, and rounding is
-    monotone, so no fold drops as a good is added: water-filling then reaches
-    the best minimum of each split, as every bundle it raised last stood at
-    or below that minimum just before."""
+    take the other class): `_split_share` with each bundle summed as in the
+    oracle, the left fold of its highs, then its lows."""
     exact = (h == 0 or _is_exact(alpha)) and (l == 0 or _is_exact(beta))
     if h + l < n:
         return 0 if exact else 0.0
-    folds = list(accumulate([alpha] * h, initial=0))
-    best = 0
-    for dist in _capped_partitions(h, n, h):
-        sums = [folds[k] for k in dist]
-        for _ in range(l):
-            j = sums.index(min(sums))
-            sums[j] += beta
-        best = max(best, min(sums))
+    best = max(0, _split_share(h, l, list(accumulate([alpha] * h, initial=0)), beta, n, h))
     return best if exact else float(best)
 
 
@@ -336,7 +321,10 @@ def _mms_two_value_cached(h, l, alpha, beta, n):
         return alpha * (h // n)
     if _fast_ok(alpha, beta):
         return _mms_two_value_fast(h, l, alpha, beta, n)
-    return _mms_two_value_enumerate(h, l, alpha, beta, n)
+    # k highs are worth k * alpha; no bundle needs more than ub // alpha + 1
+    ub = (h * alpha + l * beta) / n
+    cap = max(int(ub // alpha) + 1, -(-h // n))
+    return _split_share(h, l, [k * alpha for k in range(h + 1)], beta, n, cap)
 
 
 def mms_two_value(h: int, l: int, alpha, beta, n: int):
@@ -465,10 +453,10 @@ class PairwiseTracker:
     """Incremental view of every bundle from every agent's perspective.
 
     Keeps, per (viewer, owner) pair, the bundle value and enough structure to
-    answer "value after removing the k best goods" in O(1): high/low counts
-    for 2-value instances, the two largest goods and the bundle size
-    otherwise.  A run's tracker belongs to its `AllocationState` (see
-    `AllocationState.pairwise`).
+    answer "value after removing the k best goods" in O(1): the bundle size,
+    with its high count for 2-value instances (the rest are lows) and its
+    two largest goods otherwise.  A run's tracker belongs to its
+    `AllocationState` (see `AllocationState.pairwise`).
 
     Per viewer it can also keep the largest removable value over the other
     agents, d_k[i] = max_{j != i} removable_value(i, j, k) for k = 0, 1, 2,
@@ -493,12 +481,11 @@ class PairwiseTracker:
         self.seen_total = [0] * (n + 1)                        # v_i(first t goods)
         if self.two_value:
             self.high_cnt = [[0] * (n + 1) for _ in range(n + 1)]
-            self.low_cnt = [[0] * (n + 1) for _ in range(n + 1)]
             self._views = [(p.alpha == p.beta, p.alpha > 0, p.alpha, p.beta)
                            for p in instance.agents]
         else:
             self.top2 = [[(0, 0)] * (n + 1) for _ in range(n + 1)]
-            self.size = [0] * (n + 1)                          # size[j] = |A_j|
+        self.size = [0] * (n + 1)                              # size[j] = |A_j|
         self.t = 0
         self._dmax = None      # _dmax[k][i] = d_k[i], built by `maxima`
         self._argmax = None    # _argmax[k][i]: a j attaining it
@@ -595,7 +582,7 @@ class PairwiseTracker:
         j = agent
         seen, val = self.seen_total, self.val
         if self.two_value:
-            high_cnt, low_cnt = self.high_cnt, self.low_cnt
+            high_cnt = self.high_cnt
             for i, high, (flat, positive, alpha, beta) in zip(range(1, self.n + 1), good.high,
                                                               self._views):
                 v = alpha if high else beta
@@ -603,8 +590,6 @@ class PairwiseTracker:
                 val[i][j] += v
                 if (high or flat) and positive:  # `value(...) == alpha > 0`
                     high_cnt[i][j] += 1
-                else:
-                    low_cnt[i][j] += 1
         else:
             top2 = self.top2
             for i, v in enumerate(good.values, 1):
@@ -615,7 +600,7 @@ class PairwiseTracker:
                     top2[i][j] = (v, a)
                 elif v > b:
                     top2[i][j] = (a, v)
-            self.size[j] += 1
+        self.size[j] += 1
         if self._dmax is not None:
             self._update_maxima(agent)
 
@@ -625,9 +610,9 @@ class PairwiseTracker:
             return full
         if self.two_value:
             prof = self.instance.agents[i - 1]
-            hc, lc = self.high_cnt[i][j], self.low_cnt[i][j]
+            hc = self.high_cnt[i][j]
             drop_h = min(k, hc)
-            drop_l = min(k - drop_h, lc)
+            drop_l = min(k - drop_h, self.size[j] - hc)  # the rest are lows
             return full - drop_h * prof.alpha - drop_l * prof.beta
         if self.size[j] <= k:
             # full - top - second would leave a float rounding residue

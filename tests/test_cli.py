@@ -77,6 +77,32 @@ def test_interval_alpha_list_of_the_wrong_length_exits_one(capsys, n, alphas):
     assert err.startswith("error: ") and "alphas" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["--gen", "random-2value", "--m", "-3"], "--m"),
+    (["--gen", "random-2value", "--bias", "2"], "--bias"),
+    (["--gen", "lows-then-highs", "--n", "0"], "--n"),
+    (["--gen", "random-2value", "--profiles", "5"], "--profiles"),
+    (["--gen", "random-2value", "--profiles", "5:x"], "--profiles"),
+    (["--gen", "interval-random", "--alpha", "abc"], "--alpha"),
+    (["--gen", "staircase", "--alpha", "x"], "--alpha"),
+], ids=["negative-m", "bias-above-one", "no-agents", "profile-without-beta",
+        "profile-not-a-number", "interval-alpha-not-a-number", "staircase-alpha-not-a-number"])
+def test_bad_generator_option_exits_one_naming_it(capsys, argv, option):
+    """A generator option out of range or not a number exits 1 with an
+    `error:` line that names the option, neither a silent coercion nor an
+    error about something else."""
+    code = run_cli("run", "--alg", "round-robin", *argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT and captured.out == ""
+    assert captured.err.startswith(f"error: {option}: ") and "Traceback" not in captured.err
+
+
+def test_known_adversary_without_agents_exits_one_naming_n(capsys):
+    assert run_cli("adversary", "--kind", "known", "--alg", "round-robin",
+                   "--n", "0") == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: need 1 <= n <= alpha, got n=0")
+
+
 def test_malformed_instance_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"n":2,"agents":[{"alpha":5,"beta":1},{"alpha":5,"beta":1}],'

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fairstream.generators import interval_random, random_two_value
 from fairstream.metrics import (REL_TOL, CycleError, EnvyGraph, PairwiseTracker, ReportBuilder,
                                 _gt, _is_exact, _mms_two_value_cached,
-                                _mms_two_value_enumerate, _mms_two_value_folded, _ratio,
+                                _mms_two_value_folded, _ratio,
                                 build_envy_graph, mms_exhaustive, mms_two_value,
                                 report_csv_rows, topo_sort)
 from fairstream.model import (AgentProfile, AllocationState, Flavor, GoodEvent,
@@ -151,7 +151,7 @@ def _fold_grid_profiles():
 def test_fold_share_equals_the_exhaustive_oracle_on_a_profile_grid():
     """The fold search is `mms_exhaustive` on the same values in value, repr
     and type, on every h + l <= 12 and n <= 5.  The grid tells the fold
-    convention from the enumeration's k * alpha bases: they differ in the
+    convention from `mms_two_value`'s k * alpha bases: they differ in the
     last bit on some float shares."""
     floats = product_differs = 0
     for alpha, beta in _fold_grid_profiles():
@@ -164,7 +164,7 @@ def test_fold_share_equals_the_exhaustive_oracle_on_a_profile_grid():
                         (alpha, beta, h, l, n)
                     if type(want) is float:
                         floats += 1
-                        product = float(_mms_two_value_enumerate(h, l, alpha, beta, n))
+                        product = float(mms_two_value(h, l, alpha, beta, n))
                         product_differs += repr(product) != repr(want)
     assert 0 < product_differs < floats
     # an int alpha with l = 0 gives an int share, with a float beta beside it
