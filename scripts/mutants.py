@@ -186,8 +186,8 @@ MUTANTS = [
     (
         "fold-share-always-float",
         "fairstream/metrics.py",
-        "initial=0)), beta, n, h))\n    return best if exact else float(best)\n",
-        "initial=0)), beta, n, h))\n    return float(best)\n",
+        "    return cls(max(0, _split_share(h, l, list(accumulate(",
+        "    return float(max(0, _split_share(h, l, list(accumulate(",
         ["tests/test_metrics.py"],
     ),
     # `mms_two_value` folds k highs left, the lift's convention, instead of
@@ -198,6 +198,24 @@ MUTANTS = [
         "_split_share(h, l, [k * alpha for k in range(h + 1)], beta, n, cap)",
         "_split_share(h, l, list(accumulate([alpha] * h, initial=0 * alpha)), beta, n, cap)",
         ["tests/test_golden_shares.py"],
+    ),
+    # the direct envy graph credits each good to the viewer's own column, not
+    # the recipient's, so no agent envies anyone
+    (
+        "envy-graph-viewer-column",
+        "fairstream/metrics.py",
+        "            val[i][owner] += value(state.profile(i), good, i)\n",
+        "            val[i][i] += value(state.profile(i), good, i)\n",
+        ["tests/test_metrics.py"],
+    ),
+    # the deferred-priority auditor holds flat agents to 1/3 of their share
+    # and zero-low agents to 1/2
+    (
+        "share-floor-factors-swapped",
+        "fairstream/deferred_priority.py",
+        "AgentType.TYPE2: 2, AgentType.TYPE3: 3}",
+        "AgentType.TYPE2: 3, AgentType.TYPE3: 2}",
+        ["tests/test_maximin_ledger.py"],
     ),
 ]
 

@@ -97,30 +97,39 @@ def _load_or_generate(args) -> Instance:
 
 
 def _generate_from_args(args) -> Instance:
+    """The instance of `--gen`; an option that it does not read is an error."""
     kind = args.gen
     if kind is None:
         raise ValueError("provide --instance FILE or --gen KIND")
     if args.n < 1:
         raise ValueError(f"--n: need at least one agent, got {args.n}")
-    if args.m < 0:
-        raise ValueError(f"--m: need a nonnegative number of goods, got {args.m}")
-    if not 0 <= args.bias <= 1:
-        raise ValueError(f"--bias: need a probability in [0, 1], got {args.bias}")
+    fixed = ("m", "seed", "bias", "profiles")  # a fixed stream draws nothing
+    for name in {"random-2value": ("alpha",), "staircase": fixed, "lows-then-highs": fixed,
+                 "interval-random": ("bias", "profiles")}.get(kind, ()):
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name}: --gen {kind} does not read it")
+    m, seed = 20 if args.m is None else args.m, args.seed or 0
+    bias = 0.3 if args.bias is None else args.bias
+    if m < 0:
+        raise ValueError(f"--m: need a nonnegative number of goods, got {m}")
+    if not 0 <= bias <= 1:
+        raise ValueError(f"--bias: need a probability in [0, 1], got {bias}")
     if kind == "random-2value":
         profiles = _parse_profiles(args.profiles) if args.profiles else None
-        return random_two_value(args.n, args.m, args.seed, bias=args.bias,
-                                profiles=profiles, foresight=args.foresight or 0)
+        return random_two_value(args.n, m, seed, bias=bias, profiles=profiles,
+                                foresight=args.foresight or 0)
     if kind == "staircase":
-        return staircase(args.n, alpha=_parse(int, args.alpha, "--alpha") if args.alpha else None)
+        alpha = _parse(int, args.alpha, "--alpha") if args.alpha else None
+        return staircase(args.n, alpha=alpha, foresight=args.foresight or 0)
     if kind == "lows-then-highs":
-        return lows_then_highs(args.n, alpha=_parse(int, args.alpha or args.n, "--alpha"))
+        return lows_then_highs(args.n, alpha=_parse(int, args.alpha or args.n, "--alpha"),
+                               foresight=args.foresight)
     if kind == "interval-random":
         alphas = ([_parse(float, a, "--alpha") for a in args.alpha.split(",")]
                   if args.alpha else None)
         if alphas is not None and len(alphas) == 1:
             alphas = alphas * args.n
-        return interval_random(args.n, args.m, args.seed, alphas=alphas,
-                               foresight=args.foresight or 0)
+        return interval_random(args.n, m, seed, alphas=alphas, foresight=args.foresight or 0)
     raise ValueError(f"unknown generator {kind!r}")
 
 
@@ -267,9 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--gen", choices=["random-2value", "staircase",
                                           "lows-then-highs", "interval-random"])
         sp.add_argument("--n", type=int, default=2)
-        sp.add_argument("--m", type=int, default=20)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--bias", type=float, default=0.3)
+        # None when unset, so that a generator can reject an option it does not read
+        sp.add_argument("--m", type=int, help="number of goods (default 20)")
+        sp.add_argument("--seed", type=int, help="default 0")
+        sp.add_argument("--bias", type=float, help="chance that a flag is high (default 0.3)")
         sp.add_argument("--alpha", help="alpha (or comma list) for generators")
         sp.add_argument("--profiles",
                         help="comma list alpha:beta, e.g. '5:1,2:1,1:1,1:0'")

@@ -130,11 +130,12 @@ class DeferredPriorityAuditor:
     proportionality floors (exact integer arithmetic on integer instances);
     `strict=True` adds the inactivity and low-good rotation invariants.
 
-    The mms-type1 floor (2n-1) * v >= mu asks the `mms_two_value` oracle,
-    not the ledger, and only when (2n-1) * n * v is below the value seen:
-    mu never exceeds the value seen over n (`_floor_certified`).
-    `oracle_skips` counts the checks that bound settled.  The value seen is
-    read from the ledger (`state.pairwise().seen_total`).
+    An agent of type k = 1, 2 or 3 has the floor c * v >= mu with c = 2n-1, 2
+    or 3 and mu its `mms_two_value` share.  The check asks that oracle, not
+    the ledger, and only when c * n * v is below the value seen: mu never
+    exceeds the value seen over n (`_floor_certified`).  `oracle_skips`
+    counts the checks, of all three types, that this bound settled.  The
+    value seen is read from the ledger (`state.pairwise().seen_total`).
     """
 
     def __init__(self, instance: Instance, share_bounds=False, strict=False):
@@ -151,7 +152,9 @@ class DeferredPriorityAuditor:
         self._phase_steps = 0
         self._last_low = [None] * n  # step of the last low receipt this phase
         self._last_state = None
-        self._views = [(p.kind, p.alpha, p.beta) for p in instance.agents]
+        # per agent: type, the c of its share floor c * v >= mu (None for type 0), alpha, beta
+        factor = {AgentType.TYPE1: 2 * n - 1, AgentType.TYPE2: 2, AgentType.TYPE3: 3}
+        self._views = [(p.kind, factor.get(p.kind), p.alpha, p.beta) for p in instance.agents]
         self._m = instance.m
 
     def _fail(self, check, t, agent, detail):
@@ -232,34 +235,25 @@ class DeferredPriorityAuditor:
             self._last_low = [None] * self.n
 
     def _check_shares(self, state, t):
-        """The per-type floors, in one pass over every agent's (kind, alpha,
-        beta) and ledger tallies."""
+        """The share floors, in one pass over every agent's view and ledger
+        tallies, and the 1/4 proportionality floor of type 1 agents."""
         n = self.n
-        c = 2 * n - 1
-        cn, four_n = c * n, 4 * n
-        type1, type2, type3 = AgentType.TYPE1, AgentType.TYPE2, AgentType.TYPE3
+        four_n, type1 = 4 * n, AgentType.TYPE1
         skips = 0
-        for i, (kind, alpha, beta), hr, gr, hs, seen in zip(
+        for i, (kind, c, alpha, beta), hr, gr, hs, seen in zip(
                 range(1, n + 1), self._views, state.high_received, state.goods_received,
                 state.high_seen, state.pairwise().seen_total[1:]):
+            if c is None:
+                continue
             own = hr * alpha + (gr - hr) * beta
-            if kind is type1:
-                if _floor_certified(cn * own, seen):
-                    skips += 1
-                else:
-                    mu = mms_two_value(hs, t - hs, alpha, beta, n)
-                    if c * own < mu:
-                        self._fail("mms-type1", t, i, f"v={own}, mu={mu}")
-                if hr >= 1 and four_n * own < seen:
-                    self._fail("prop-quarter", t, i, f"v={own}, seen={seen}")
-            elif kind is type2:
-                mu = alpha * (t // n)
-                if 2 * own < mu:
-                    self._fail("mms-type2", t, i, f"v={own}, mu={mu}")
-            elif kind is type3:
-                mu = alpha * (hs // n)
-                if 3 * own < mu:
-                    self._fail("mms-type3", t, i, f"v={own}, mu={mu}")
+            if _floor_certified(c * n * own, seen):
+                skips += 1
+            else:
+                mu = mms_two_value(hs, t - hs, alpha, beta, n)
+                if c * own < mu:
+                    self._fail(f"mms-type{int(kind)}", t, i, f"v={own}, mu={mu}")
+            if kind is type1 and hr >= 1 and four_n * own < seen:
+                self._fail("prop-quarter", t, i, f"v={own}, seen={seen}")
         self.oracle_skips += skips
 
     def finish(self):

@@ -298,7 +298,7 @@ class PriorityMatchingAuditor:
     """Exact streaming checks for priority matching.
 
     Per step: envy-free-up-to-2.  At every full round boundary t = kn:
-    envy-free-up-to-1, balanced bundles, acyclic envy graph with every edge's
+    envy-free-up-to-1, equal bundle sizes, acyclic envy graph with every edge's
     envy at most alpha_i - beta_i, and an n*v >= maximin-share check.  Tracks
     the half-envy-free-up-to-1 recovery clause: once it fails at some t0, it
     must hold at every step from the end of that round on.  With

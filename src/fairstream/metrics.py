@@ -35,7 +35,7 @@ scanned over j for witnesses.
 
 Two independent maximin-share oracles are provided:
 
-* `mms_exhaustive` searches assignments of up to 12 goods to n bundles by
+* `mms_exhaustive` searches assignments of up to 12 goods to n parts by
   branch and bound, for arbitrary additive values: an LPT incumbent, bounds
   on what the remaining goods can lift in value and, as goods cannot be
   split, in count (the bin-covering bound of Labbe, Laporte and Martello),
@@ -124,6 +124,14 @@ def _floor_certified(lhs, seen) -> bool:
 MMS_EXHAUSTIVE_MAX_GOODS = 12
 
 
+def _share_class(values):
+    """The class of an exact maximin share of `values`: float when a value
+    is not exact, else `Fraction` when one is a `Fraction`, else int."""
+    if not all(map(_is_exact, values)):
+        return float
+    return int if all(isinstance(v, int) for v in values) else Fraction
+
+
 def mms_exhaustive(values, n: int):
     """Exact maximin share by branch and bound over bundle assignments
     (<= 12 goods).
@@ -136,7 +144,7 @@ def mms_exhaustive(values, n: int):
     * Incumbent: LPT (each good onto the first minimal bundle) builds the
       same folds, so the search starts from one of its own leaf values.
     * Bounds: every bundle at or below the incumbent must rise strictly
-      above it, so a branch is cut when those bundles cannot all rise.
+      above it, so a branch is cut when they cannot all rise.
       - Value: they need best + 1 - s each on integers and best - s on other
         values, more than the remaining goods are worth.  On floats the need
         must exceed the remaining value by REL_TOL * max(1, best): a fold of
@@ -158,8 +166,8 @@ def mms_exhaustive(values, n: int):
         good folds to at most best.
     * Symmetry: a good goes to one bundle of each distinct current sum, and
       a good equal to the previous one only to that good's bundle or a later
-      one.  Swapping bundles of equal sum, or equal goods, leaves every fold
-      unchanged, so no distinct leaf is lost.
+      one.  Swapping the goods of two bundle slots of equal sum, or two equal
+      goods, leaves every fold unchanged, so no distinct leaf is lost.
     """
     vals = sorted(values, reverse=True)
     m = len(vals)
@@ -169,10 +177,10 @@ def mms_exhaustive(values, n: int):
         raise ValueError(f"exhaustive oracle capped at {MMS_EXHAUSTIVE_MAX_GOODS} goods")
     if any(v < 0 for v in vals):
         raise ValueError("values must be nonnegative")
-    integral = all(isinstance(v, int) for v in vals)
-    exact = integral or all(_is_exact(v) for v in vals)
+    cls = _share_class(vals)
+    integral, exact = cls is int, cls is not float
     if m < n or not vals:
-        return 0 if exact else 0.0
+        return cls(0)
 
     suffix = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
@@ -226,7 +234,7 @@ def mms_exhaustive(values, n: int):
             sums[b] = s
 
     rec(0, 0)
-    return best if exact else float(best)
+    return cls(best)
 
 
 def _capped_partitions(total, parts, cap):
@@ -243,7 +251,7 @@ def _capped_partitions(total, parts, cap):
 
 def _split_share(h, l, bases, beta, n, cap):
     """The first strictly largest minimum bundle (None if no split fits)
-    over the weakly decreasing splits of h highs into n bundles of at most
+    over the weakly decreasing splits of h highs into n parts of at most
     `cap` highs: k highs start at `bases[k]`, then each low adds `beta` to
     the first minimum bundle.  As rounding is monotone no sum drops as a good
     is added, so this water-filling reaches the best minimum of each split."""
@@ -261,14 +269,12 @@ def _split_share(h, l, bases, beta, n, cap):
 
 def _mms_two_value_folded(h, l, alpha, beta, n):
     """`mms_exhaustive([alpha] * h + [beta] * l, n)` for alpha >= beta >= 0, in
-    value and type (where an int meets a `Fraction`, an integral share may
-    take the other class): `_split_share` with each bundle summed as in the
-    oracle, the left fold of its highs, then its lows."""
-    exact = (h == 0 or _is_exact(alpha)) and (l == 0 or _is_exact(beta))
+    value and class: `_split_share` with each bundle summed as in the oracle,
+    the left fold of its highs, then its lows."""
+    cls = _share_class((alpha,) * (h > 0) + (beta,) * (l > 0))
     if h + l < n:
-        return 0 if exact else 0.0
-    best = max(0, _split_share(h, l, list(accumulate([alpha] * h, initial=0)), beta, n, h))
-    return best if exact else float(best)
+        return cls(0)
+    return cls(max(0, _split_share(h, l, list(accumulate([alpha] * h, initial=0)), beta, n, h)))
 
 
 def _fast_ok(alpha, beta) -> bool:
@@ -329,7 +335,7 @@ def _mms_two_value_cached(h, l, alpha, beta, n):
 
 def mms_two_value(h: int, l: int, alpha, beta, n: int):
     """Exact maximin share of h goods worth `alpha` plus l goods worth `beta`
-    split into n bundles.  Requires alpha >= beta >= 0."""
+    split into n parts.  Requires alpha >= beta >= 0."""
     if h < 0 or l < 0:
         raise ValueError("counts must be nonnegative")
     if n < 1:
@@ -378,16 +384,15 @@ class EnvyGraph:
 
 
 def build_envy_graph(state: AllocationState) -> EnvyGraph:
-    g = EnvyGraph(state.n)
-    for i in range(1, state.n + 1):
-        mine = state.own_value(i)
-        for j in range(1, state.n + 1):
-            if i == j:
-                continue
-            theirs = state.bundle_value(i, j)
-            if _gt(theirs, mine):
-                g.edges[(i, j)] = theirs - mine
-    return g
+    """The envy graph read from the arrival log alone: every bundle's value
+    from every agent's view, summed in one pass in arrival order."""
+    n = state.n
+    val = [[0] * (n + 1) for _ in range(n + 1)]
+    for good, owner in zip(state.goods_seen, state.recipients):
+        for i in range(1, n + 1):
+            val[i][owner] += value(state.profile(i), good, i)
+    return EnvyGraph(n, {(i, j): val[i][j] - val[i][i] for i in range(1, n + 1)
+                         for j in range(1, n + 1) if i != j and _gt(val[i][j], val[i][i])})
 
 
 def topo_sort(g: EnvyGraph):
@@ -625,7 +630,7 @@ class PairwiseTracker:
         return _geq(den * self.val[i][i], num * self.removable_value(i, j, k))
 
     def envy_graph(self) -> EnvyGraph:
-        """The envy graph of the current bundles, built once per step.
+        """The envy graph of the current allocation, built once per step.
 
         A round boundary reads it twice on one state (the auditor, then the
         rule planning the next round), so the graph is kept until the next

@@ -161,18 +161,18 @@ def sees_high(profile: AgentProfile, event: GoodEvent, agent: int) -> bool:
 class AllocationState:
     """Mutable per-run allocation record and the run's one ledger.
 
-    It keeps the bundles, the arrival log (`goods_seen`, and `recipients`,
-    the agent of each step) and running tallies.  `high_seen[i-1]` counts
-    goods worth alpha_i among those seen so far, matching the stream prefix
-    regardless of who received them.
+    It keeps the arrival log (`goods_seen`, and `recipients`, the agent of
+    each step) and running tallies; a bundle is the steps whose recipient is
+    its owner.  `high_seen[i-1]` counts goods worth alpha_i among those seen
+    so far, matching the stream prefix regardless of who received them.
 
     `pairwise()` returns the run's only `PairwiseTracker`: every bundle's
     value from every agent's view.  It is built from the log the first time
     anyone asks for it and fed by every `assign` after that, so a run that
     never asks never builds it.  Rules, auditors and reports all read this
-    one copy and must not mutate it.  `bundle_value` and `own_value` rescan
-    the bundles; `metrics.build_envy_graph` reads them, and `tests/oracles.py`
-    holds the other direct oracles the ledger is checked against.
+    one copy and must not mutate it.  `metrics.build_envy_graph` and the
+    direct oracles in `tests/oracles.py`, which the ledger is checked
+    against, read the log instead.
 
     On 2-value instances `maximin_shares()` answers every agent's maximin
     share of the goods seen so far, each warm-started from its last answer.
@@ -180,16 +180,14 @@ class AllocationState:
     `assign`, so a run that never reads shares pays nothing for them.
     """
 
-    __slots__ = ("instance", "n", "t", "bundles", "goods_seen", "recipients",
-                 "goods_received", "high_received", "high_seen", "_agents", "_flat",
-                 "_alphas", "_pairwise", "_mms")
+    __slots__ = ("instance", "n", "t", "goods_seen", "recipients", "goods_received",
+                 "high_received", "high_seen", "_agents", "_flat", "_alphas", "_pairwise", "_mms")
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self._agents = list(instance.agents)
         self.n = len(self._agents)
         self.t = 0
-        self.bundles = [[] for _ in range(self.n)]
         self.goods_seen = []
         self.recipients = []
         self.goods_received = [0] * self.n
@@ -212,7 +210,6 @@ class AllocationState:
         self.t += 1
         self.goods_seen.append(event)
         self.recipients.append(agent)
-        self.bundles[agent - 1].append(event.index)
         self.goods_received[agent - 1] += 1
         # every agent's `sees_high`, in one pass over the good
         if event.high is not None:
@@ -285,16 +282,6 @@ class AllocationState:
                 warm[i] = (h, l, mu)
             append(mu)
         return out
-
-    def bundle_value(self, viewer: int, owner: int):
-        prof = self._agents[viewer - 1]
-        total = 0
-        for idx in self.bundles[owner - 1]:
-            total += value(prof, self.goods_seen[idx - 1], viewer)
-        return total
-
-    def own_value(self, agent: int):
-        return self.bundle_value(agent, agent)
 
 
 class OnlineAlgorithm:

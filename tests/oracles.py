@@ -1,7 +1,8 @@
 """Test-only oracles, which no code under `src` calls: direct forms of what
-a run keeps in its ledger or checks in its auditors, read from the bundles,
-the arrival log, the threshold proxy or a trace with no `PairwiseTracker`,
-and restatements of the paper's claims."""
+a run keeps in its ledger or checks in its auditors, read from the arrival
+log (`goods_seen` and `recipients`, from which `bundles` rebuilds every
+bundle), the threshold proxy or a trace with no `PairwiseTracker`, and
+restatements of the paper's claims."""
 import math
 from fractions import Fraction
 
@@ -36,6 +37,20 @@ def bundle_value(instance: Instance, agent: int, bundle):
     return total
 
 
+def bundles(state: AllocationState) -> list:
+    """Every agent's bundle as good indices in arrival order, rebuilt from
+    the arrival log."""
+    out = [[] for _ in range(state.n)]
+    for t, agent in enumerate(state.recipients, 1):
+        out[agent - 1].append(t)
+    return out
+
+
+def own_value(state: AllocationState, agent: int):
+    """v_agent(A_agent), summed in arrival order as the ledger adds it up."""
+    return bundle_value(state.instance, agent, bundles(state)[agent - 1])
+
+
 def seen_value(state: AllocationState, agent: int):
     """Value to `agent` of every good seen so far."""
     prof = state.profile(agent)
@@ -51,7 +66,7 @@ def removable_value(state: AllocationState, viewer: int, owner: int, k: int):
     gives full - full (0, or 0.0 on floats), never a rounding residue.
     """
     prof = state.profile(viewer)
-    vals = [value(prof, state.goods_seen[idx - 1], viewer) for idx in state.bundles[owner - 1]]
+    vals = [value(prof, state.goods_seen[idx - 1], viewer) for idx in bundles(state)[owner - 1]]
     full = 0
     for v in vals:  # not `sum`, which compensates float rounding on Python >= 3.12
         full += v
@@ -72,7 +87,7 @@ def efk_ratio(state: AllocationState, i: int, j: int, k: int):
     """
     if k not in (0, 1, 2):
         raise ValueError("only k in {0, 1, 2} supported")
-    return _ratio(state.own_value(i), removable_value(state, i, j, k))
+    return _ratio(own_value(state, i), removable_value(state, i, j, k))
 
 
 def efk_ratio_all(state: AllocationState, i: int, k: int):
@@ -83,14 +98,14 @@ def efk_ratio_all(state: AllocationState, i: int, k: int):
 
 def prop_ratio(state: AllocationState, i: int):
     """Largest rho <= 1 with v_i(A_i) >= rho * v_i(allocated goods)/n."""
-    return _ratio(state.n * state.own_value(i), seen_value(state, i))
+    return _ratio(state.n * own_value(state, i), seen_value(state, i))
 
 
 def mms_report(state: AllocationState, i: int):
     """(maximin share, clamped ratio) of agent i over the goods seen so far,
     or None where `mms_share` is unavailable."""
     mu = mms_share(state, i)
-    return None if mu is None else (mu, _ratio(state.own_value(i), mu))
+    return None if mu is None else (mu, _ratio(own_value(state, i), mu))
 
 
 def level_sets(H, n: int):

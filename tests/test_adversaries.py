@@ -108,6 +108,25 @@ def test_adversaries_reject_lookahead_rules():
         mms_adversary(PriorityMatching(), 3)
 
 
+class _FloatChoice(_AlwaysFirst):
+    name = "float-choice"
+
+    def choose(self, state, good, window):
+        return 1.0
+
+
+@pytest.mark.parametrize("adversary", [ef1_adversary, lambda alg: mms_adversary(alg, 3)],
+                         ids=["ef1", "mms"])
+def test_adversaries_reject_a_non_integer_choice_as_run_online_does(adversary):
+    """A choice in range but not an int is refused before it reaches the
+    ledger, with `run_online`'s message."""
+    inst = random_two_value(2, 1, 0)
+    with pytest.raises(RuntimeError, match=r"^float-choice returned invalid agent 1\.0$"):
+        run_online(_FloatChoice(), inst)
+    with pytest.raises(RuntimeError, match=r"^float-choice returned invalid agent 1\.0$"):
+        adversary(_FloatChoice())
+
+
 def test_emitted_instance_replays_to_same_witness():
     trace = mms_adversary(DeferredPriority(), 3)
     replay = run_online(DeferredPriority(), trace.instance)

@@ -97,6 +97,34 @@ def test_bad_generator_option_exits_one_naming_it(capsys, argv, option):
     assert captured.err.startswith(f"error: {option}: ") and "Traceback" not in captured.err
 
 
+_UNREAD = [("staircase", ["--m", "5"]), ("staircase", ["--seed", "1"]),
+           ("staircase", ["--bias", "0.9"]), ("staircase", ["--profiles", "3:1"]),
+           ("lows-then-highs", ["--m", "20"]), ("lows-then-highs", ["--seed", "0"]),
+           ("lows-then-highs", ["--bias", "0.9"]), ("lows-then-highs", ["--profiles", "3:1"]),
+           ("interval-random", ["--bias", "0.9"]), ("interval-random", ["--profiles", "3:1"]),
+           ("random-2value", ["--alpha", "3"])]
+
+
+@pytest.mark.parametrize("command", ["run", "generate"])
+@pytest.mark.parametrize("gen, option", _UNREAD, ids=[f"{g}{o[0]}" for g, o in _UNREAD])
+def test_generator_option_the_generator_does_not_read_exits_one(capsys, command, gen, option):
+    """An option that the chosen generator does not read is an error that
+    names it, not a silent no-op, even at the option's default value."""
+    alg = ["--alg", "round-robin"] if command == "run" else []
+    code = run_cli(command, *alg, "--gen", gen, "--n", "2", *option)
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT and captured.out == ""
+    assert captured.err.startswith(f"error: {option[0]}: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("gen", ["staircase", "lows-then-highs"])
+def test_generate_writes_the_foresight_of_a_fixed_stream(tmp_path, gen):
+    out = tmp_path / "i.jsonl"
+    assert run_cli("generate", "--gen", gen, "--n", "2", "--foresight", "3",
+                   "--out", str(out)) == EXIT_OK
+    assert read_instance(out).foresight == 3
+
+
 def test_known_adversary_without_agents_exits_one_naming_n(capsys):
     assert run_cli("adversary", "--kind", "known", "--alg", "round-robin",
                    "--n", "0") == EXIT_INPUT

@@ -3,10 +3,10 @@ before the oracle.
 
 `AllocationState.maximin_shares` warm-starts each agent's binary search from
 its last share; it must equal the cold `mms_two_value` at every step, however
-far apart the reads are.  The auditors' mms-type1 and mms-round checks ask
-the oracle only when c * n * v falls short of the value seen; the reference
-checks below ask it every time, and both must report the same `Violation`
-records in the same order.  The deferred-priority auditor reads the value
+far apart the reads are.  The auditors' mms-type1..3 and mms-round checks
+ask the oracle only when c * n * v falls short of the value seen; the
+reference checks below ask it, or take the paper's closed form, every
+time, and both must report the same `Violation` records in the same order.  The deferred-priority auditor reads the value
 seen from the ledger, so its prop-quarter records are compared with a
 reference that adds the value up itself.
 """
@@ -175,25 +175,35 @@ def counted(monkeypatch):
 
 
 def reference_shares(trace):
-    """mms-type1 and prop-quarter over every step and type-1 agent, asking
-    the oracle every time.  The value seen is folded left in arrival order,
-    as a run adds it up; `sum` would round differently on Python 3.12+."""
+    """mms-type1..3 over every step and agent of types 1 to 3, and
+    prop-quarter over type-1 agents.  A type-1 share is asked of the oracle
+    every time; a flat agent's is alpha * floor(t / n) and a zero-low
+    agent's alpha * floor(h / n), the paper's closed forms.  The value seen
+    is folded left in arrival order, as a run adds it up; `sum` would round
+    differently on Python 3.12+."""
     inst, n = trace.instance, trace.instance.n
+    factor = {AgentType.TYPE1: 2 * n - 1, AgentType.TYPE2: 2, AgentType.TYPE3: 3}
     seen = [0] * n
     out = []
     for state, step in replay_states(trace):
         good = inst.goods[step.t - 1]
         for i, prof in enumerate(inst.agents, 1):
             seen[i - 1] += value(prof, good, i)
-            if prof.kind != AgentType.TYPE1:
+            kind = prof.kind
+            if kind == AgentType.TYPE0:
                 continue
             hr, gr = state.high_received[i - 1], state.goods_received[i - 1]
             own = hr * prof.alpha + (gr - hr) * prof.beta
             hs = state.high_seen[i - 1]
-            mu = mms_two_value(hs, state.t - hs, prof.alpha, prof.beta, n)
-            if (2 * n - 1) * own < mu:
-                out.append(Violation("mms-type1", state.t, i, f"v={own}, mu={mu}"))
-            if hr >= 1 and 4 * n * own < seen[i - 1]:
+            if kind == AgentType.TYPE1:
+                mu = mms_two_value(hs, state.t - hs, prof.alpha, prof.beta, n)
+            elif kind == AgentType.TYPE2:
+                mu = prof.alpha * (state.t // n)
+            else:
+                mu = prof.alpha * (hs // n)
+            if factor[kind] * own < mu:
+                out.append(Violation(f"mms-type{kind.value}", state.t, i, f"v={own}, mu={mu}"))
+            if kind == AgentType.TYPE1 and hr >= 1 and 4 * n * own < seen[i - 1]:
                 out.append(Violation("prop-quarter", state.t, i,
                                      f"v={own}, seen={seen[i - 1]}"))
     return out
@@ -231,11 +241,12 @@ SHARE_PROFILES = FLOOR_PROFILES + [[(0.7, 0.1), (2.5, 0.3), (1.1, 1.1), (0.3, 0.
 @pytest.mark.parametrize("profiles", SHARE_PROFILES)
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_type1_floor_guard_keeps_every_verdict(profiles, n, counted):
-    """The auditor's mms-type1 and prop-quarter records, detail text
-    included, equal the reference's, which asks the oracle every time and
-    folds the value seen itself; the auditor reads the value seen from the
-    ledger."""
-    found = {"mms-type1": 0, "prop-quarter": 0}
+    """The auditor's mms-type1..3 and prop-quarter records, detail text
+    included, equal the reference's, which asks the oracle or takes the
+    closed form every time and folds the value seen itself; the auditor
+    reads the value seen from the ledger.  Every floor check of an agent of
+    type 1 to 3 either asks the oracle or is settled by the bound."""
+    found = {"mms-type1": 0, "mms-type2": 0, "mms-type3": 0, "prop-quarter": 0}
     for seed in range(4):
         inst = random_two_value(n, 60, seed, profiles=profiles)
         trace = run_online(DeferredPriority(), inst)
@@ -245,11 +256,12 @@ def test_type1_floor_guard_keeps_every_verdict(profiles, n, counted):
             auditor = DeferredPriorityAuditor(inst, share_bounds=True)
             got = [v for v in audit_trace(tr, auditor) if v.check in found]
             assert got == want
-            type1 = sum(p.kind == AgentType.TYPE1 for p in inst.agents)
-            assert counted.calls + auditor.oracle_skips == type1 * len(tr.steps)
+            floored = sum(p.kind != AgentType.TYPE0 for p in inst.agents)
+            assert counted.calls + auditor.oracle_skips == floored * len(tr.steps)
             for v in want:
                 found[v.check] += 1
-    assert all(found.values()), f"the hoarded traces should break both floors: {found}"
+    assert found["mms-type1"] and found["prop-quarter"], \
+        f"the hoarded traces should break both type-1 floors: {found}"
 
 
 @pytest.mark.parametrize("profiles", FLOOR_PROFILES)
@@ -285,6 +297,31 @@ def test_type1_floor_consults_the_oracle_below_the_bound(counted):
     assert violations == [Violation("mms-type1", 8, 1, "v=1, mu=4")]
     # agent 1 is asked at t = 7 and 8, agent 2 (holding nothing) at t = 1
     assert counted.calls == 3 and auditor.oracle_skips == 2 * 8 - 3
+
+
+@pytest.mark.parametrize("profile, high, asked, violations", [
+    # flat (2, 2), c = 2: up to t = 4 the bound 2 * 2 * 2 >= 2t settles it,
+    # from t = 5 the oracle is asked; mu = 2 * floor(t / 2) passes at t = 5
+    ((2, 2), False, 5, [Violation("mms-type2", 6, 1, "v=2, mu=6"),
+                        Violation("mms-type2", 7, 1, "v=2, mu=6"),
+                        Violation("mms-type2", 8, 1, "v=2, mu=8")]),
+    # zero-low (3, 0) on high goods, c = 3: up to t = 6 the bound
+    # 3 * 2 * 3 >= 3t settles it, then mu = 3 * floor(t / 2) passes at t = 7
+    ((3, 0), True, 3, [Violation("mms-type3", 8, 1, "v=3, mu=12")]),
+], ids=["flat", "zero-low"])
+def test_flat_and_zero_low_floors_consult_the_oracle_below_the_bound(
+        profile, high, asked, violations, counted):
+    """Two agents of one profile, eight goods; agent 1 keeps only the first.
+    The oracle is asked exactly when c * n * v is below the value seen: for
+    agent 1 once that bound fails, for agent 2 (holding nothing) at t = 1."""
+    inst = Instance([AgentProfile(*profile)] * 2, [GoodEvent(t, high=(high, high))
+                                                   for t in range(1, 9)])
+    steps = [dataclasses.replace(s, agent=1 if s.t == 1 else 2)
+             for s in run_online(DeferredPriority(), inst).steps]
+    trace = Trace(inst, steps)
+    auditor = DeferredPriorityAuditor(trace.instance, share_bounds=True)
+    assert [v for v in audit_trace(trace, auditor) if v.check.startswith("mms-")] == violations
+    assert counted.calls == asked and auditor.oracle_skips == 2 * 8 - asked
 
 
 def test_round_floor_consults_the_oracle_below_the_bound(counted):

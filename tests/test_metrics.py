@@ -16,8 +16,8 @@ from fairstream.metrics import (REL_TOL, CycleError, EnvyGraph, PairwiseTracker,
 from fairstream.model import (AgentProfile, AllocationState, Flavor, GoodEvent,
                               Instance)
 from fairstream.reduction import threshold_round
-from oracles import (efk_ratio, efk_ratio_all, mms_report, prop_ratio, removable_value,
-                     seen_value)
+from oracles import (bundle_value, bundles, efk_ratio, efk_ratio_all, mms_report, own_value,
+                     prop_ratio, removable_value, seen_value)
 
 
 def _state(profiles, masks, owners):
@@ -34,8 +34,8 @@ def test_ef1_ratio_worked_example_one_high_in_singleton():
     # bundles {g1,g3,g4} vs {g2}; agent 2 values g4 high, the rest low
     st_, inst = _state([(5, 1), (5, 1)],
                        [(False, False), (False, False), (False, False), (False, True)],
-                       [1, 1, 1, 1])
-    st_.bundles = [[1, 3, 4], [2]]
+                       [1, 2, 1, 1])
+    assert bundles(st_) == [[1, 3, 4], [2]]
     assert efk_ratio(st_, 2, 1, 1) == Fraction(1, 2)
 
 
@@ -45,7 +45,7 @@ def test_ef1_ratio_worked_example_two_highs():
                        [(False, False), (True, False), (False, False), (False, False),
                         (True, False)],
                        [1, 2, 2, 1, 2])
-    assert st_.bundles == [[1, 4], [2, 3, 5]]
+    assert bundles(st_) == [[1, 4], [2, 3, 5]]
     assert efk_ratio(st_, 1, 2, 1) == Fraction(1, 3)
 
 
@@ -64,7 +64,8 @@ def test_prop_ratio_examples():
                        [1, 2, 2, 1, 1])
     # v_1(A_1) = 1+1+5 = 7, v_1(S) = 13 -> min(1, 14/13) = 1
     assert prop_ratio(st_, 1) == 1
-    st_.bundles = [[1, 4], [2, 3, 5]]
+    st_, inst = _state([(5, 1), (5, 1)], [g.high for g in inst.goods], [1, 2, 2, 1, 2])
+    assert bundles(st_) == [[1, 4], [2, 3, 5]]
     # v_1(A_1) = 2, still 13 seen: 4/13
     assert prop_ratio(st_, 1) == Fraction(4, 13)
     empty, inst2 = _state([(5, 1)], [], [])
@@ -77,7 +78,7 @@ def test_prop_derived_example_six_of_thirteen():
                        [(True, False), (True, False), (False, False), (False, False),
                         (False, False)],
                        [1, 2, 1, 2, 2])
-    assert st_.own_value(1) == 6 and seen_value(st_, 1) == 13
+    assert own_value(st_, 1) == 6 and seen_value(st_, 1) == 13
     assert prop_ratio(st_, 1) == Fraction(12, 13)
 
 
@@ -169,9 +170,11 @@ def test_fold_share_equals_the_exhaustive_oracle_on_a_profile_grid():
     assert 0 < product_differs < floats
     # an int alpha with l = 0 gives an int share, with a float beta beside it
     assert repr(_mms_two_value_folded(4, 0, 9, 3.0, 2)) == "18"
-    # where an int meets a Fraction, only the value is promised
-    assert _mms_two_value_folded(3, 7, Fraction(5, 2), 1, 2) == \
-        mms_exhaustive([Fraction(5, 2)] * 3 + [1] * 7, 2) == 7
+    # where an int meets a Fraction, the share is a Fraction, whichever
+    # bundle is the smallest (here one of lows alone)
+    for got in (_mms_two_value_folded(3, 7, Fraction(5, 2), 1, 2),
+                mms_exhaustive([Fraction(5, 2)] * 3 + [1] * 7, 2)):
+        assert got == 7 and type(got) is Fraction
 
 
 def test_mms_cache_keeps_integer_and_float_profiles_apart():
@@ -298,8 +301,9 @@ def mms_brute_force(values, n):
     """Maximin share over every labelling of the goods with bundles, unpruned.
 
     Each bundle is summed in descending order of value, as `mms_exhaustive`
-    sums it, so float results agree to the last bit; a share of 0 is the
-    integer 0 (0.0 on floats), as there.
+    sums it, so float results agree to the last bit.  The share is a float
+    when a value is a float, else a `Fraction` when one is, else an int, as
+    there.
     """
     vals = sorted(values, reverse=True)
     best = 0
@@ -309,7 +313,9 @@ def mms_brute_force(values, n):
             sums[b] += v
         if min(sums) > best:
             best = min(sums)
-    return best if all(_is_exact(v) for v in vals) else float(best)
+    if not all(_is_exact(v) for v in vals):
+        return float(best)
+    return Fraction(best) if any(isinstance(v, Fraction) for v in vals) else best
 
 
 def mms_exhaustive_reference(values, n):
@@ -525,7 +531,7 @@ def test_efk_monotone_in_k_and_implication_chain(data):
         e1 = efk_ratio_all(state, i, 1)
         e2 = efk_ratio_all(state, i, 2)
         assert e0 <= e1 <= e2
-        own = state.own_value(i)
+        own = own_value(state, i)
         total = seen_value(state, i)
         # rho-envy-freeness forces rho-proportionality...
         assert n * own >= e0 * total
@@ -544,8 +550,7 @@ def test_ratios_invariant_under_scaling_one_agent(data, c):
     scaled_agents[0] = AgentProfile(inst.agents[0].alpha * c, inst.agents[0].beta * c)
     inst2 = Instance(agents=scaled_agents, goods=inst.goods)
     state2 = AllocationState(inst2)
-    for g in state.goods_seen:
-        owner = next(j + 1 for j in range(n) if g.index in state.bundles[j])
+    for g, owner in zip(state.goods_seen, state.recipients):
         state2.assign(g, owner)
     for k in (0, 1, 2):
         for j in range(2, n + 1):
@@ -574,7 +579,7 @@ def test_pairwise_tracker_matches_direct_metrics(data, draws):
     for i in range(1, state.n + 1):
         assert tracker.seen_total[i] == seen_value(replay, i)
         for j in range(1, state.n + 1):
-            assert tracker.val[i][j] == replay.bundle_value(i, j)
+            assert tracker.val[i][j] == bundle_value(inst, i, bundles(replay)[j - 1])
             for k in (0, 1, 2):
                 assert tracker.removable_value(i, j, k) == removable_value(replay, i, j, k)
     assert tracker.envy_graph().edges == build_envy_graph(replay).edges

@@ -16,7 +16,7 @@ from fairstream.jsonl import (InstanceFormatError, dumps_instance, loads_instanc
 from fairstream.matching import NaiveMatching, PriorityMatching
 from fairstream.model import (AgentProfile, AgentType, AllocationState, Flavor,
                               GoodEvent, Instance, OnlineAlgorithm, classify_agent, value)
-from oracles import bundle_value
+from oracles import bundle_value, bundles, own_value
 
 
 def test_classify_agent_examples():
@@ -132,12 +132,12 @@ def test_allocation_state_partition_and_tallies():
     st_.assign(inst.goods[0], 1)
     st_.assign(inst.goods[1], 1)
     st_.assign(inst.goods[2], 2)
-    assert st_.bundles == [[1, 2], [3]]
-    allocated = sorted(i for b in st_.bundles for i in b)
+    assert bundles(st_) == [[1, 2], [3]]
+    allocated = sorted(i for b in bundles(st_) for i in b)
     assert allocated == [1, 2, 3]  # disjoint cover of the prefix
     assert st_.high_seen == [1, 1]
     assert st_.high_received == [1, 0]
-    assert st_.own_value(1) == 6 and st_.own_value(2) == 1
+    assert own_value(st_, 1) == 6 and own_value(st_, 2) == 1
     with pytest.raises(ValueError):
         st_.assign(inst.goods[0], 1)  # out of order
 

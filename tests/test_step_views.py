@@ -18,6 +18,7 @@ from fairstream.matching import _high_masks, aux_weight_matrix
 from fairstream.metrics import PairwiseTracker
 from fairstream.model import (AgentProfile, AllocationState, Flavor, GoodEvent, Instance,
                               sees_high, value)
+from oracles import bundles
 
 TWO_VALUE_PROFILES = [(5, 1), (6, 2), (2, 1), (3, 3), (1, 1), (0, 0), (4, 0), (1, 0),
                       (2.5, 0.0), (2.5, 1.0), (3.0, 3.0), (0.0, 0.0)]
@@ -138,7 +139,7 @@ def test_ledger_high_counts_match_a_sees_high_recount(run):
         assert state.high_seen == [sum(sees_high(p, e, i) for e in seen)
                                    for i, p in enumerate(inst.agents, 1)]
         assert state.high_received == [
-            sum(sees_high(p, seen[idx - 1], i) for idx in state.bundles[i - 1])
+            sum(sees_high(p, seen[idx - 1], i) for idx in bundles(state)[i - 1])
             for i, p in enumerate(inst.agents, 1)]
 
 
