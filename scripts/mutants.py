@@ -208,6 +208,40 @@ MUTANTS = [
         "            val[i][i] += value(state.profile(i), good, i)\n",
         ["tests/test_metrics.py"],
     ),
+    # the lift reads the ledger's EFk maxima on exact own values too, where
+    # ratios of mixed class tie and the first j's class is the row's
+    (
+        "lift-ef-maxima-unguarded",
+        "fairstream/reduction.py",
+        "    if own.__class__ is float and tr.n > 1:\n",
+        "    if tr.n > 1:\n",
+        ["tests/test_golden_lift.py", "tests/test_reduction.py"],
+    ),
+    # the lift's EF1 ratio on a float own value reads the EF2 maximum
+    (
+        "lift-ef-wrong-k",
+        "fairstream/reduction.py",
+        "        return _ratio(own, dmax[k][i])\n",
+        "        return _ratio(own, dmax[2 if k == 1 else k][i])\n",
+        ["tests/test_golden_lift.py", "tests/test_reduction.py"],
+    ),
+    # the split search's cached table ignores the cap and holds every split
+    (
+        "partition-table-drops-cap",
+        "fairstream/metrics.py",
+        "    return tuple(_capped_partitions(h, n, cap))\n",
+        "    return tuple(_capped_partitions(h, n, h))\n",
+        ["tests/test_metrics.py"],
+    ),
+    # the deferred-priority auditor certifies a float share floor by a plain
+    # >=, with no REL_TOL margin
+    (
+        "share-floor-raw-compare",
+        "fairstream/deferred_priority.py",
+        "            if lhs >= seen if exact else _floor_certified(lhs, seen):\n",
+        "            if lhs >= seen:\n",
+        ["tests/test_maximin_ledger.py"],
+    ),
     # the deferred-priority auditor holds flat agents to 1/3 of their share
     # and zero-low agents to 1/2
     (

@@ -86,14 +86,26 @@ def _parse_profiles(text: str):
     return [_parse(pair, part, "--profiles") for part in text.split(",")]
 
 
+# the options of `add_gen_opts`, each None when unset
+GEN_OPTIONS = ("gen", "n", "m", "seed", "bias", "alpha", "profiles")
+
+
+def _check_foresight(args):
+    if args.foresight is not None and args.foresight < 0:
+        raise ValueError(f"--foresight: need a nonnegative lookahead, got {args.foresight}")
+
+
 def _load_or_generate(args) -> Instance:
-    if getattr(args, "instance", None):
-        inst = read_instance(args.instance)
-    else:
-        inst = _generate_from_args(args)
-    if getattr(args, "foresight", None) is not None:
-        inst = inst.with_foresight(args.foresight)
-    return inst
+    """The instance of `--instance` or `--gen`; a generator option beside
+    `--instance` is an error."""
+    if not args.instance:
+        return _generate_from_args(args)
+    for name in GEN_OPTIONS:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name}: --instance FILE reads no generator option")
+    _check_foresight(args)
+    inst = read_instance(args.instance)
+    return inst if args.foresight is None else inst.with_foresight(args.foresight)
 
 
 def _generate_from_args(args) -> Instance:
@@ -101,8 +113,10 @@ def _generate_from_args(args) -> Instance:
     kind = args.gen
     if kind is None:
         raise ValueError("provide --instance FILE or --gen KIND")
-    if args.n < 1:
-        raise ValueError(f"--n: need at least one agent, got {args.n}")
+    n = 2 if args.n is None else args.n
+    if n < 1:
+        raise ValueError(f"--n: need at least one agent, got {n}")
+    _check_foresight(args)
     fixed = ("m", "seed", "bias", "profiles")  # a fixed stream draws nothing
     for name in {"random-2value": ("alpha",), "staircase": fixed, "lows-then-highs": fixed,
                  "interval-random": ("bias", "profiles")}.get(kind, ()):
@@ -116,20 +130,20 @@ def _generate_from_args(args) -> Instance:
         raise ValueError(f"--bias: need a probability in [0, 1], got {bias}")
     if kind == "random-2value":
         profiles = _parse_profiles(args.profiles) if args.profiles else None
-        return random_two_value(args.n, m, seed, bias=bias, profiles=profiles,
+        return random_two_value(n, m, seed, bias=bias, profiles=profiles,
                                 foresight=args.foresight or 0)
     if kind == "staircase":
         alpha = _parse(int, args.alpha, "--alpha") if args.alpha else None
-        return staircase(args.n, alpha=alpha, foresight=args.foresight or 0)
+        return staircase(n, alpha=alpha, foresight=args.foresight or 0)
     if kind == "lows-then-highs":
-        return lows_then_highs(args.n, alpha=_parse(int, args.alpha or args.n, "--alpha"),
+        return lows_then_highs(n, alpha=_parse(int, args.alpha or n, "--alpha"),
                                foresight=args.foresight)
     if kind == "interval-random":
         alphas = ([_parse(float, a, "--alpha") for a in args.alpha.split(",")]
                   if args.alpha else None)
         if alphas is not None and len(alphas) == 1:
-            alphas = alphas * args.n
-        return interval_random(args.n, m, seed, alphas=alphas, foresight=args.foresight or 0)
+            alphas = alphas * n
+        return interval_random(n, m, seed, alphas=alphas, foresight=args.foresight or 0)
     raise ValueError(f"unknown generator {kind!r}")
 
 
@@ -275,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_gen_opts(sp):
         sp.add_argument("--gen", choices=["random-2value", "staircase",
                                           "lows-then-highs", "interval-random"])
-        sp.add_argument("--n", type=int, default=2)
         # None when unset, so that a generator can reject an option it does not read
+        sp.add_argument("--n", type=int, help="number of agents (default 2)")
         sp.add_argument("--m", type=int, help="number of goods (default 20)")
         sp.add_argument("--seed", type=int, help="default 0")
         sp.add_argument("--bias", type=float, help="chance that a flag is high (default 0.3)")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from operator import lt
 
 from .driver import Violation, audit_trace
-from .metrics import _floor_certified, mms_two_value
+from .metrics import _floor_certified, _is_exact, mms_two_value
 from .model import AgentType, AllocationState, GoodEvent, Instance, OnlineAlgorithm, sees_high
 
 
@@ -133,9 +133,11 @@ class DeferredPriorityAuditor:
     An agent of type k = 1, 2 or 3 has the floor c * v >= mu with c = 2n-1, 2
     or 3 and mu its `mms_two_value` share.  The check asks that oracle, not
     the ledger, and only when c * n * v is below the value seen: mu never
-    exceeds the value seen over n (`_floor_certified`).  `oracle_skips`
-    counts the checks, of all three types, that this bound settled.  The
-    value seen is read from the ledger (`state.pairwise().seen_total`).
+    exceeds the value seen over n (`_floor_certified`).  That test is
+    decided per agent once: an agent whose alpha and beta are both exact has
+    exact own and seen values, so it is a plain >=.  `oracle_skips` counts
+    the checks, of all three types, that this bound settled.  The value seen
+    is read from the ledger (`state.pairwise().seen_total`).
     """
 
     def __init__(self, instance: Instance, share_bounds=False, strict=False):
@@ -152,9 +154,12 @@ class DeferredPriorityAuditor:
         self._phase_steps = 0
         self._last_low = [None] * n  # step of the last low receipt this phase
         self._last_state = None
-        # per agent: type, the c of its share floor c * v >= mu (None for type 0), alpha, beta
+        # per agent: type, the c of its share floor c * v >= mu (None for type 0), alpha,
+        # beta, and whether both values are exact, so that its own value and the value
+        # it has seen are too and `_floor_certified` is a plain >=
         factor = {AgentType.TYPE1: 2 * n - 1, AgentType.TYPE2: 2, AgentType.TYPE3: 3}
-        self._views = [(p.kind, factor.get(p.kind), p.alpha, p.beta) for p in instance.agents]
+        self._views = [(p.kind, factor.get(p.kind), p.alpha, p.beta,
+                        _is_exact(p.alpha) and _is_exact(p.beta)) for p in instance.agents]
         self._m = instance.m
 
     def _fail(self, check, t, agent, detail):
@@ -240,13 +245,14 @@ class DeferredPriorityAuditor:
         n = self.n
         four_n, type1 = 4 * n, AgentType.TYPE1
         skips = 0
-        for i, (kind, c, alpha, beta), hr, gr, hs, seen in zip(
+        for i, (kind, c, alpha, beta, exact), hr, gr, hs, seen in zip(
                 range(1, n + 1), self._views, state.high_received, state.goods_received,
                 state.high_seen, state.pairwise().seen_total[1:]):
             if c is None:
                 continue
             own = hr * alpha + (gr - hr) * beta
-            if _floor_certified(c * n * own, seen):
+            lhs = c * n * own
+            if lhs >= seen if exact else _floor_certified(lhs, seen):
                 skips += 1
             else:
                 mu = mms_two_value(hs, t - hs, alpha, beta, n)

@@ -249,14 +249,28 @@ def _capped_partitions(total, parts, cap):
             yield (first,) + rest
 
 
+# 128 (h, n, cap) keys kept.  A table has at most p(12) = 77 splits (the
+# partitions of 12) of n entries each, so the cache holds at most 128 * 77
+# tuples of n ints.  The interval-lift benchmark reads about 90 keys (n = 2, 3,
+# 4), so they all stay.
+@lru_cache(maxsize=128)
+def _partition_table(h, n, cap):
+    """`_capped_partitions(h, n, cap)` as a tuple, for h <= MMS_EXHAUSTIVE_MAX_GOODS."""
+    return tuple(_capped_partitions(h, n, cap))
+
+
 def _split_share(h, l, bases, beta, n, cap):
     """The first strictly largest minimum bundle (None if no split fits)
     over the weakly decreasing splits of h highs into n parts of at most
     `cap` highs: k highs start at `bases[k]`, then each low adds `beta` to
     the first minimum bundle.  As rounding is monotone no sum drops as a good
-    is added, so this water-filling reaches the best minimum of each split."""
+    is added, so this water-filling reaches the best minimum of each split.
+    Up to 12 highs the splits come from a cached table (`_partition_table`);
+    more are generated, so wide profiles hold no table."""
     best = None
-    for dist in _capped_partitions(h, n, cap):
+    cap = min(cap, h)  # no split has more highs than there are
+    for dist in (_partition_table(h, n, cap) if h <= MMS_EXHAUSTIVE_MAX_GOODS
+                 else _capped_partitions(h, n, cap)):
         sums = [bases[k] for k in dist]
         for _ in range(l):
             j = sums.index(min(sums))

@@ -69,6 +69,21 @@ class LiftedStep:
     original: dict
 
 
+def _efk_ratio(tr, dmax, i, k):
+    """min over j != i of min(1, v_i(A_i) / removable_value(i, j, k)) on the
+    ledger `tr`, 1.0 with one agent.  A float own value makes every ratio a
+    float, and correctly rounded division is monotone in the denominator, so
+    the minimum is the one ratio against the ledger's largest removable value
+    `dmax[k][i]` (`PairwiseTracker.maxima`), to the last bit.  An exact own
+    value can give ratios of mixed class that tie in value, of which the
+    minimum keeps the first j's, so that case scans j."""
+    own = tr.val[i][i]
+    if own.__class__ is float and tr.n > 1:
+        return _ratio(own, dmax[k][i])
+    return min((_ratio(own, tr.removable_value(i, j, k)) for j in range(1, tr.n + 1) if j != i),
+               default=1.0)
+
+
 def lift_guarantee(pair: ThresholdProxy, trace) -> list:
     """Replay a trace produced on the proxy and verify the guarantee transfer.
 
@@ -76,10 +91,14 @@ def lift_guarantee(pair: ThresholdProxy, trace) -> list:
     original_ratio >= proxy_ratio / sqrt(alpha_i) within the float tolerance
     (`_geq`), and that the original maximin share never exceeds the proxy
     one.  The trace is replayed on both instances (`replay_states`) and every
-    ratio reads the replay's ledger.  Shares exist on prefixes of at most 12
-    goods.  The proxy's is the fold search `_mms_two_value_folded`, equal to
-    the exhaustive oracle on the proxy values, checked against
-    `mms_two_value`; the original's is the exhaustive oracle.  The original
+    ratio reads the replay's ledger: an EFk ratio whose own value is a float
+    is one ratio against the ledger's largest removable value
+    (`PairwiseTracker.maxima`, as in `ReportBuilder.report`), and one whose
+    own value is exact scans the other agents (`_efk_ratio`).  Shares exist
+    on prefixes of at most 12 goods.  The proxy's is the fold search
+    `_mms_two_value_folded`, equal to the exhaustive oracle on the proxy
+    values, checked against `mms_two_value`; the original's is the
+    exhaustive oracle.  The original
     search is skipped when n * own_o and n * mu_p both exceed seen_o, the
     original value agent i has seen (`_gt`): mu_o never exceeds seen_o / n,
     so its ratio is 1 and it cannot exceed mu_p.  The row then takes the
@@ -95,14 +114,13 @@ def lift_guarantee(pair: ThresholdProxy, trace) -> list:
                                    replay_states(trace)):
         t = step.t
         tr_orig, tr_prox = so.pairwise(), sp.pairwise()
+        dmax_o, dmax_p = tr_orig.maxima()[0], tr_prox.maxima()[0]
         for i in range(1, n + 1):
             scale = pair.thresholds[i - 1]
             po, oo = {}, {}
             for k, name in ((0, "ef"), (1, "ef1"), (2, "ef2")):
-                po[name] = min((_ratio(tr_prox.val[i][i], tr_prox.removable_value(i, j, k))
-                                for j in range(1, n + 1) if j != i), default=1.0)
-                oo[name] = min((_ratio(tr_orig.val[i][i], tr_orig.removable_value(i, j, k))
-                                for j in range(1, n + 1) if j != i), default=1.0)
+                po[name] = _efk_ratio(tr_prox, dmax_p, i, k)
+                oo[name] = _efk_ratio(tr_orig, dmax_o, i, k)
             po["prop"] = _ratio(n * tr_prox.val[i][i], tr_prox.seen_total[i])
             oo["prop"] = _ratio(n * tr_orig.val[i][i], tr_orig.seen_total[i])
             if t <= MMS_EXHAUSTIVE_MAX_GOODS:

@@ -125,6 +125,56 @@ def test_generate_writes_the_foresight_of_a_fixed_stream(tmp_path, gen):
     assert read_instance(out).foresight == 3
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["--gen", "staircase", "--m", "50", "--bias", "0.9"], "--gen"),
+    (["--n", "2"], "--n"), (["--m", "5"], "--m"), (["--seed", "0"], "--seed"),
+    (["--bias", "0.3"], "--bias"), (["--alpha", "3"], "--alpha"),
+    (["--profiles", "3:1"], "--profiles"),
+    # the first in the order of `run --help`, not of the command line
+    (["--seed", "1", "--n", "2"], "--n"),
+], ids=["gen", "n", "m", "seed", "bias", "alpha", "profiles", "first-in-help-order"])
+def test_generator_option_beside_an_instance_exits_one_naming_it(tmp_path, capsys, argv,
+                                                                 option):
+    """`--instance` reads a file, so a generator option beside it would be
+    ignored: it is an error that names the option, even at its default."""
+    inst = tmp_path / "i.jsonl"
+    assert run_cli("generate", "--gen", "random-2value", "--out", str(inst)) == EXIT_OK
+    capsys.readouterr()
+    code = run_cli("run", "--alg", "round-robin", "--instance", str(inst), *argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT and captured.out == ""
+    assert captured.err.startswith(f"error: {option}: ") and "Traceback" not in captured.err
+
+
+def test_foresight_beside_an_instance_overrides_it(tmp_path):
+    """Priority matching needs a lookahead of n - 1 goods, which the file
+    lacks and `--foresight` supplies."""
+    inst = tmp_path / "i.jsonl"
+    assert run_cli("generate", "--gen", "random-2value", "--n", "3", "--m", "12",
+                   "--out", str(inst)) == EXIT_OK
+    assert run_cli("run", "--alg", "priority-matching", "--instance", str(inst),
+                   "--report-out", str(tmp_path / "r.csv")) == EXIT_INPUT
+    assert run_cli("run", "--alg", "priority-matching", "--instance", str(inst),
+                   "--foresight", "2", "--report-out", str(tmp_path / "r.csv")) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--alg", "round-robin", "--gen", "random-2value"],
+    ["run", "--alg", "round-robin", "--instance", "INSTANCE"],
+    ["generate", "--gen", "random-2value"],
+    ["generate", "--gen", "lows-then-highs"],
+], ids=["run-gen", "run-instance", "generate", "generate-lows-then-highs"])
+def test_negative_foresight_exits_one_naming_it(tmp_path, capsys, argv):
+    inst = tmp_path / "i.jsonl"
+    assert run_cli("generate", "--gen", "random-2value", "--out", str(inst)) == EXIT_OK
+    capsys.readouterr()
+    argv = [str(inst) if a == "INSTANCE" else a for a in argv]
+    assert run_cli(*argv, "--foresight", "-1") == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --foresight: ") and "Traceback" not in captured.err
+
+
 def test_known_adversary_without_agents_exits_one_naming_n(capsys):
     assert run_cli("adversary", "--kind", "known", "--alg", "round-robin",
                    "--n", "0") == EXIT_INPUT

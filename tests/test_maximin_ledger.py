@@ -25,7 +25,7 @@ from fairstream.deferred_priority import DeferredPriority, DeferredPriorityAudit
 from fairstream.driver import Trace, Violation, audit_trace, replay_states, run_online
 from fairstream.generators import interval_random, random_two_value
 from fairstream.matching import PriorityMatching, PriorityMatchingAuditor
-from fairstream.metrics import _mms_two_value_fast, mms_two_value
+from fairstream.metrics import _floor_certified, _mms_two_value_fast, mms_two_value
 from fairstream.model import (AgentProfile, AgentType, AllocationState, GoodEvent, Instance,
                               value)
 
@@ -336,3 +336,51 @@ def test_round_floor_consults_the_oracle_below_the_bound(counted):
     assert [v for v in audit_trace(trace, auditor) if v.check == "mms-round"] == []
     assert counted.calls == 1 and auditor.oracle_skips == 1
 
+
+
+def floor_skips(trace):
+    """How many share-floor checks of agents of types 1 to 3 over the run
+    `_floor_certified(c * n * v, seen)` settles, with seen read from the
+    ledger, as the auditor reads it."""
+    inst, n = trace.instance, trace.instance.n
+    factor = {AgentType.TYPE1: 2 * n - 1, AgentType.TYPE2: 2, AgentType.TYPE3: 3}
+    skips = 0
+    for state, _ in replay_states(trace):
+        seen = state.pairwise().seen_total
+        for i, p in enumerate(inst.agents, 1):
+            if p.kind in factor:
+                hr, gr = state.high_received[i - 1], state.goods_received[i - 1]
+                own = hr * p.alpha + (gr - hr) * p.beta
+                skips += _floor_certified(factor[p.kind] * n * own, seen[i])
+    return skips
+
+
+@pytest.mark.parametrize("profiles, exact", [
+    ([(5, 1), (2, 1), (3, 2), (4, 0)], True),
+    ([(2.5, 1.0), (0.7, 0.1), (1.1, 1.1)], False),
+    # int alpha, float beta: own value and value seen stay ints up to the first low
+    ([(5, 1.5), (3, 0.5), (4, 2.0)], False),
+    ([(Fraction(5, 2), Fraction(2, 3)), (5, 1), (Fraction(3), Fraction(3))], True),
+], ids=["int", "float", "mixed", "fraction"])
+def test_share_floor_decides_exactness_once_per_agent(profiles, exact, counted):
+    """The auditor compares c * n * v with the value seen by a plain >= for
+    an agent whose alpha and beta are both exact, decided once per run.  It
+    settles exactly the checks that `_floor_certified` settles, asks the
+    oracle for the others, and records what a reference auditor that calls
+    `_floor_certified` for every agent records, in order."""
+    for n in (2, 3):
+        for seed in range(3):
+            inst = random_two_value(n, 40, seed, profiles=profiles)
+            floored = sum(p.kind != AgentType.TYPE0 for p in inst.agents)
+            trace = run_online(DeferredPriority(), inst)
+            for tr in (trace, hoard(trace, 1 + seed % n, seed)):
+                counted.calls = 0
+                auditor = DeferredPriorityAuditor(inst, share_bounds=True)
+                assert [v[4] for v in auditor._views] == [exact] * n
+                got = audit_trace(tr, auditor)
+                skips = floor_skips(tr)
+                assert auditor.oracle_skips == skips
+                assert counted.calls == floored * len(tr.steps) - skips
+                reference = DeferredPriorityAuditor(inst, share_bounds=True)
+                reference._views = [v[:4] + (False,) for v in reference._views]
+                assert got == audit_trace(tr, reference)

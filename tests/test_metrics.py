@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairstream.generators import interval_random, random_two_value
-from fairstream.metrics import (REL_TOL, CycleError, EnvyGraph, PairwiseTracker, ReportBuilder,
-                                _gt, _is_exact, _mms_two_value_cached,
+from fairstream.metrics import (MMS_EXHAUSTIVE_MAX_GOODS, REL_TOL, CycleError, EnvyGraph,
+                                PairwiseTracker, ReportBuilder, _capped_partitions, _gt,
+                                _is_exact, _mms_two_value_cached, _partition_table,
                                 _mms_two_value_folded, _ratio,
                                 build_envy_graph, mms_exhaustive, mms_two_value,
                                 report_csv_rows, topo_sort)
@@ -175,6 +176,19 @@ def test_fold_share_equals_the_exhaustive_oracle_on_a_profile_grid():
     for got in (_mms_two_value_folded(3, 7, Fraction(5, 2), 1, 2),
                 mms_exhaustive([Fraction(5, 2)] * 3 + [1] * 7, 2)):
         assert got == 7 and type(got) is Fraction
+
+
+def test_split_search_table_holds_exactly_the_capped_splits():
+    """Up to 12 highs `_split_share` walks `_partition_table`: what
+    `_capped_partitions` yields, in its order, which is every weakly
+    decreasing split of h highs into n parts of at most cap highs, once."""
+    for n in range(1, 6):
+        splits = list(itertools.combinations_with_replacement(range(12, -1, -1), n))
+        for h in range(MMS_EXHAUSTIVE_MAX_GOODS + 1):
+            for cap in range(h + 1):
+                table = _partition_table(h, n, cap)
+                assert table == tuple(_capped_partitions(h, n, cap))
+                assert sorted(table) == sorted(d for d in splits if sum(d) == h and d[0] <= cap)
 
 
 def test_mms_cache_keeps_integer_and_float_profiles_apart():

@@ -271,6 +271,22 @@ def test_certified_original_share_gives_the_searched_rows_on_integer_values(sear
     assert 0 < len(searched) < rows
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lift_gives_the_searched_rows_with_one_agent_and_past_twelve_goods(n):
+    """The lift's EFk ratios read the ledger's maxima only for a float own
+    value and n > 1; with one agent, and past the 12 goods that carry a
+    share, every row still equals the per-j scan's in value and class."""
+    rng = random.Random(n)
+    past = 0
+    for seed in range(3):
+        for inst in (interval_random(n, 16, seed, foresight=n - 1),
+                     _int_valued(n, 15, rng)):
+            pair = threshold_round(inst)
+            for rule_cls in _rules(n):
+                past += sum(r.t > 12 for r in _assert_certified_equals_searched(pair, rule_cls))
+    assert past
+
+
 def _two_agents(alpha, first):
     """Agent 1 values the goods `first`; agent 2 values every good at 1."""
     agents = [AgentProfile(alpha, 1), AgentProfile(alpha, 1)]
