@@ -251,6 +251,55 @@ MUTANTS = [
         "AgentType.TYPE2: 3, AgentType.TYPE3: 2}",
         ["tests/test_maximin_ledger.py"],
     ),
+    # the deferred-priority auditor takes the closed form for the value seen
+    # of a float agent too, which can differ from the ledger's fold in the
+    # last bit
+    (
+        "share-seen-closed-form-on-floats",
+        "fairstream/deferred_priority.py",
+        "            if exact:\n                seen = hs * alpha",
+        "            if True:\n                seen = hs * alpha",
+        ["tests/test_maximin_ledger.py"],
+    ),
+    # the one-pass EFk failures test each viewer against the next k's maximum,
+    # and so skip a viewer that fails at k but not at k + 1
+    (
+        "efk-failures-wrong-k",
+        "fairstream/metrics.py",
+        "        dk = (self._dmax or self.maxima()[0])[k]\n",
+        "        dk = (self._dmax or self.maxima()[0])[min(k + 1, 2)]\n",
+        ["tests/test_metrics.py"],
+    ),
+    # the kept topological order lives on the class, so every later graph
+    # gets the first graph's order
+    (
+        "topo-sort-memo-outlives-graph",
+        "fairstream/metrics.py",
+        "    order = g._order\n    if order is None:\n        order = g._order = _kahn(g)\n",
+        "    order = EnvyGraph._order\n    if order is None:\n"
+        "        order = EnvyGraph._order = _kahn(g)\n",
+        ["tests/test_metrics.py"],
+    ),
+    # the priority-matching auditor never reports an envy edge above
+    # alpha_i - beta_i
+    (
+        "edge-envy-silenced",
+        "fairstream/matching.py",
+        "            if not ok:\n                self.violations.append(\n"
+        "                    Violation(\"edge-envy\"",
+        "            if False:\n                self.violations.append(\n"
+        "                    Violation(\"edge-envy\"",
+        ["tests/test_golden_verdicts.py"],
+    ),
+    # deferred priority treats a flat agent (alpha == beta) as seeing a good
+    # high only when its flag is set
+    (
+        "dp-step-no-flat-test",
+        "fairstream/deferred_priority.py",
+        "        if high or flat:\n",
+        "        if high:\n",
+        ["tests/test_golden_traces.py", "tests/test_deferred_priority.py"],
+    ),
 ]
 
 # (name, file under src/, original text, mutated text, reason)

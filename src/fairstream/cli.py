@@ -10,12 +10,13 @@ acceptance test suite.
 report CSV through files opened only then (a run that raises leaves no file),
 or the report rows to stdout as they are formed.
 
-Exit codes: 0 success, 1 bad input or configuration (malformed instance files
-report the offending line; an output path that cannot be written prints
-`error: ...`), 2 guarantee-check failure, 141 (128 + SIGPIPE, as a shell
-reports a writer that SIGPIPE ended) when the reader of stdout closed it
-before the output was complete, as in `fairstream run ... | head`; the
-command then ends quietly, and its guarantee checks may not have run.
+Exit codes: 0 success, 1 bad input or configuration (a usage error prints the
+usage line, malformed instance files report the offending line, an output
+path that cannot be written prints `error: ...`), 2 guarantee-check failure,
+141 (128 + SIGPIPE, as a shell reports a writer that SIGPIPE ended) when the
+reader of stdout closed it before the output was complete, as in
+`fairstream run ... | head`; the command then ends quietly, and its
+guarantee checks may not have run.
 """
 from __future__ import annotations
 
@@ -280,9 +281,17 @@ def _find_acceptance():
     return None
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 1 (`EXIT_INPUT`), not argparse's 2, which is
+    `EXIT_GUARANTEE` here; subparsers are made of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="fairstream",
-                                description="online fair division testbed")
+    p = _Parser(prog="fairstream", description="online fair division testbed")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 

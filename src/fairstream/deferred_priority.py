@@ -136,8 +136,14 @@ class DeferredPriorityAuditor:
     exceeds the value seen over n (`_floor_certified`).  That test is
     decided per agent once: an agent whose alpha and beta are both exact has
     exact own and seen values, so it is a plain >=.  `oracle_skips` counts
-    the checks, of all three types, that this bound settled.  The value seen
-    is read from the ledger (`state.pairwise().seen_total`).
+    the checks, of all three types, that this bound settled.
+
+    The value seen of an exact agent is `hs * alpha + (t - hs) * beta`, with
+    hs its high goods seen: the closed form its own value uses, equal to the
+    ledger's fold in value and in text on ints and `Fraction`s.  So a run
+    whose agents are all exact never builds the n x n `PairwiseTracker`.
+    An inexact agent reads the ledger (`state.pairwise().seen_total`), whose
+    fold in arrival order can differ from the closed form in the last bit.
     """
 
     def __init__(self, instance: Instance, share_bounds=False, strict=False):
@@ -245,12 +251,19 @@ class DeferredPriorityAuditor:
         n = self.n
         four_n, type1 = 4 * n, AgentType.TYPE1
         skips = 0
-        for i, (kind, c, alpha, beta, exact), hr, gr, hs, seen in zip(
+        ledger = None  # the run's `seen_total`, read only for an inexact agent
+        for i, (kind, c, alpha, beta, exact), hr, gr, hs in zip(
                 range(1, n + 1), self._views, state.high_received, state.goods_received,
-                state.high_seen, state.pairwise().seen_total[1:]):
+                state.high_seen):
             if c is None:
                 continue
             own = hr * alpha + (gr - hr) * beta
+            if exact:
+                seen = hs * alpha + (t - hs) * beta
+            else:
+                if ledger is None:
+                    ledger = state.pairwise().seen_total
+                seen = ledger[i]
             lhs = c * n * own
             if lhs >= seen if exact else _floor_certified(lhs, seen):
                 skips += 1

@@ -391,10 +391,16 @@ class CycleError(Exception):
 
 @dataclass
 class EnvyGraph:
-    """Directed edges (i, j) present iff i strictly envies j, with magnitudes."""
+    """Directed edges (i, j) present iff i strictly envies j, with magnitudes.
+
+    `topo_sort` keeps its result on the graph (`_order`, outside equality and
+    repr), so a graph must not be mutated once it has been sorted.
+    """
 
     n: int
     edges: dict = field(default_factory=dict)  # (i, j) -> v_i(A_j) - v_i(A_i)
+    # pi, or the CycleError of a cyclic graph; set by the first `topo_sort`
+    _order: object = field(default=None, init=False, repr=False, compare=False)
 
 
 def build_envy_graph(state: AllocationState) -> EnvyGraph:
@@ -414,7 +420,20 @@ def topo_sort(g: EnvyGraph):
 
     Deterministic: repeatedly emits the smallest-index vertex of in-degree
     zero.  Raises CycleError with one witness cycle if the graph is cyclic.
+    Kahn's pass runs once per graph: at a round boundary the auditor and
+    the rule sort the same cached `PairwiseTracker.envy_graph`, and a later
+    call returns a fresh list of the same order, or raises the same witness.
     """
+    order = g._order
+    if order is None:
+        order = g._order = _kahn(g)
+    if order.__class__ is CycleError:
+        raise CycleError(order.cycle)
+    return list(order)
+
+
+def _kahn(g: EnvyGraph):
+    """`topo_sort`'s pass: pi, or the CycleError with its witness."""
     indeg = {v: 0 for v in range(1, g.n + 1)}
     succ = {v: [] for v in range(1, g.n + 1)}
     for (a, b) in g.edges:
@@ -435,7 +454,7 @@ def topo_sort(g: EnvyGraph):
             ready.sort()
     if len(order) < g.n:
         rem = [v for v in range(1, g.n + 1) if indeg[v] > 0]
-        raise CycleError(_find_cycle(succ, rem))
+        return CycleError(_find_cycle(succ, rem))
     pi = [0] * g.n
     for pos, v in enumerate(order, 1):
         pi[v - 1] = pos
@@ -589,10 +608,20 @@ class PairwiseTracker:
 
     def efk_failures(self, k: int, num=1, den=1) -> list:
         """The pairs (i, j), in index order, with `is_efk(i, j, k, num,
-        den)` false.  Only a viewer whose largest removable value fails is
-        scanned over j."""
-        return [(i, j) for i in range(1, self.n + 1) if not self.efk_holds(i, k, num, den)
-                for j in range(1, self.n + 1) if j != i and not self.is_efk(i, j, k, num, den)]
+        den)` false.  One pass tests each viewer as `efk_holds` does, against
+        its largest removable value; only a viewer that fails is scanned
+        over j."""
+        n, val = self.n, self.val
+        dk = (self._dmax or self.maxima()[0])[k]
+        out = []
+        for i in range(1, n + 1):
+            lhs = den * val[i][i]
+            rhs = num * dk[i]
+            if lhs >= rhs or _geq(lhs, rhs):  # lhs >= rhs implies _geq
+                continue
+            out += [(i, j) for j in range(1, n + 1)
+                    if j != i and not self.is_efk(i, j, k, num, den)]
+        return out
 
     def observe(self, good, agent: int):
         """Add a good received by `agent`: one pass over every agent's view
@@ -647,8 +676,9 @@ class PairwiseTracker:
         """The envy graph of the current allocation, built once per step.
 
         A round boundary reads it twice on one state (the auditor, then the
-        rule planning the next round), so the graph is kept until the next
-        `observe`.  Callers share it and must not mutate it.
+        rule planning the next round), so the graph, with the order
+        `topo_sort` keeps on it, is kept until the next `observe`.  Callers
+        share it and must not mutate it.
         """
         if self._graph_t == self.t:
             return self._graph

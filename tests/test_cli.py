@@ -65,6 +65,29 @@ def test_config_errors_exit_one():
                    "--n", "4", "--m", "8", "--seed", "0") == EXIT_INPUT
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--alg", "deferred-priority", "--granularity", "bogus"],
+    ["run", "--alg", "deferred-priority", "--n", "abc"],
+    ["run", "--gen", "random-2value"],
+    ["bogus"],
+], ids=["bad-choice", "bad-int", "missing-alg", "unknown-subcommand"])
+def test_usage_errors_exit_one_with_the_usage(capsys, argv):
+    """argparse would exit 2, which here means a violated guarantee."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fairstream") and "error: " in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["run", "--help"]])
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code in (None, EXIT_OK)
+    assert capsys.readouterr().out
+
+
 @pytest.mark.parametrize("n, alphas", [("3", "3,4"), ("2", "3,4,5")],
                          ids=["too-few", "too-many"])
 def test_interval_alpha_list_of_the_wrong_length_exits_one(capsys, n, alphas):

@@ -4,11 +4,13 @@ from pathlib import Path
 
 import pytest
 
+import fairstream.matching as matching_module
+import fairstream.metrics as metrics_module
 from fairstream.driver import run_online, trace_csv_rows
 from fairstream.generators import random_two_value
 from fairstream.matching import (CONTESTED_I, CONTESTED_II, Commitment, NaiveMatching,
-                                 PATTERN_TABLE, PriorityMatching, RoundPlan,
-                                 aux_weight_matrix, check_alternation_guarantees,
+                                 PATTERN_TABLE, PriorityMatching, PriorityMatchingAuditor,
+                                 RoundPlan, aux_weight_matrix, check_alternation_guarantees,
                                  check_asymptotics, check_round_guarantees,
                                  naive_step, plan_round, priority_round_plan)
 from fairstream.model import AgentProfile, AllocationState, GoodEvent, Instance
@@ -203,6 +205,25 @@ def test_priority_internal_graph_matches_reference_plan():
             assert committed == ref.assignment
             assert tuple(step.extras["pi"]) == ref.pi
         state.assign(inst.goods[t - 1], step.agent)
+
+
+@pytest.mark.parametrize("n, m", [(3, 30), (4, 22)])
+def test_audited_round_sorts_each_boundary_graph_once(n, m, monkeypatch):
+    """At a round boundary the auditor and the rule planning the next round
+    sort the same envy graph, and Kahn's pass runs once for both: one pass
+    per planned round plus the auditor's pass after a last full round."""
+    passes, sorts = [], []
+    kahn, topo_sort = metrics_module._kahn, matching_module.topo_sort
+    monkeypatch.setattr(metrics_module, "_kahn", lambda g: passes.append(g) or kahn(g))
+    monkeypatch.setattr(matching_module, "topo_sort", lambda g: sorts.append(g) or topo_sort(g))
+    inst = random_two_value(n, m, seed=4, bias=0.4, foresight=n - 1)
+    auditor = PriorityMatchingAuditor(inst)
+    run_online(PriorityMatching(), inst, auditors=[auditor])
+    assert auditor.finish() == []
+    planned, boundaries = -(-m // n), m // n
+    assert len(sorts) == planned + boundaries
+    assert len(passes) == planned + (m % n == 0)
+    assert len({id(g) for g in passes}) == len(passes)
 
 
 def test_matching_trace_csv_columns():

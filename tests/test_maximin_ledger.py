@@ -6,9 +6,11 @@ its last share; it must equal the cold `mms_two_value` at every step, however
 far apart the reads are.  The auditors' mms-type1..3 and mms-round checks
 ask the oracle only when c * n * v falls short of the value seen; the
 reference checks below ask it, or take the paper's closed form, every
-time, and both must report the same `Violation` records in the same order.  The deferred-priority auditor reads the value
-seen from the ledger, so its prop-quarter records are compared with a
-reference that adds the value up itself.
+time, and both must report the same `Violation` records in the same order.  The deferred-priority auditor reads a float
+agent's value seen from the ledger and takes an exact agent's from its
+counts, so its prop-quarter records are compared with a reference that adds
+the value up itself, and with one that reads every value seen from the
+ledger.
 """
 import dataclasses
 import random
@@ -244,7 +246,7 @@ def test_type1_floor_guard_keeps_every_verdict(profiles, n, counted):
     """The auditor's mms-type1..3 and prop-quarter records, detail text
     included, equal the reference's, which asks the oracle or takes the
     closed form every time and folds the value seen itself; the auditor
-    reads the value seen from the ledger.  Every floor check of an agent of
+    reads a float agent's value seen from the ledger.  Every floor check of an agent of
     type 1 to 3 either asks the oracle or is settled by the bound."""
     found = {"mms-type1": 0, "mms-type2": 0, "mms-type3": 0, "prop-quarter": 0}
     for seed in range(4):
@@ -341,7 +343,7 @@ def test_round_floor_consults_the_oracle_below_the_bound(counted):
 def floor_skips(trace):
     """How many share-floor checks of agents of types 1 to 3 over the run
     `_floor_certified(c * n * v, seen)` settles, with seen read from the
-    ledger, as the auditor reads it."""
+    ledger."""
     inst, n = trace.instance, trace.instance.n
     factor = {AgentType.TYPE1: 2 * n - 1, AgentType.TYPE2: 2, AgentType.TYPE3: 3}
     skips = 0
@@ -384,3 +386,57 @@ def test_share_floor_decides_exactness_once_per_agent(profiles, exact, counted):
                 reference = DeferredPriorityAuditor(inst, share_bounds=True)
                 reference._views = [v[:4] + (False,) for v in reference._views]
                 assert got == audit_trace(tr, reference)
+
+
+class LedgerSeenAuditor(DeferredPriorityAuditor):
+    """The share floors with every agent's value seen read from the ledger
+    (`state.pairwise().seen_total`), exact agents included."""
+
+    def _check_shares(self, state, t):
+        n = self.n
+        for i, (kind, c, alpha, beta, exact), hr, gr, hs, seen in zip(
+                range(1, n + 1), self._views, state.high_received, state.goods_received,
+                state.high_seen, state.pairwise().seen_total[1:]):
+            if c is None:
+                continue
+            own = hr * alpha + (gr - hr) * beta
+            lhs = c * n * own
+            if lhs >= seen if exact else _floor_certified(lhs, seen):
+                self.oracle_skips += 1
+            else:
+                mu = mms_two_value(hs, t - hs, alpha, beta, n)
+                if c * own < mu:
+                    self._fail(f"mms-type{int(kind)}", t, i, f"v={own}, mu={mu}")
+            if kind is AgentType.TYPE1 and hr >= 1 and 4 * n * own < seen:
+                self._fail("prop-quarter", t, i, f"v={own}, seen={seen}")
+
+
+@pytest.mark.parametrize("profiles", [
+    [(5, 1), (2, 1), (3, 2), (4, 0)],
+    [(Fraction(5, 2), Fraction(2, 3)), (Fraction(7, 3), 1), (3, Fraction(1, 2))],
+    [(0.7, 0.1), (2.5, 0.3), (3.3, 0.7)],
+    [(5, 1.5), (3, 0.5), (4, 2.0)],
+    [(2, 2), (Fraction(3, 2), Fraction(3, 2)), (1.1, 1.1)],
+    [(4, 0), (2.5, 0.0), (Fraction(7, 2), 0)],
+    [(0, 0), (5, 1), (0.0, 0.0)],
+], ids=["int", "fraction", "float", "mixed", "flat", "zero-low", "zero-high"])
+def test_share_floors_equal_a_reference_that_reads_the_ledger(profiles):
+    """An exact agent's value seen comes from its counts; every record,
+    detail text included, and every oracle skip equal those of an auditor
+    that reads each value seen from the ledger.  The hoarded traces break
+    the prop-quarter floor, whose records carry the value seen."""
+    found = 0
+    for n in (2, 3):
+        for seed in range(3):
+            inst = random_two_value(n, 60, seed, profiles=profiles)
+            trace = run_online(DeferredPriority(), inst)
+            for tr in (trace, hoard(trace, 1 + seed % n, seed)):
+                auditor = DeferredPriorityAuditor(inst, share_bounds=True)
+                reference = LedgerSeenAuditor(inst, share_bounds=True)
+                got = audit_trace(tr, auditor)
+                assert got == audit_trace(tr, reference)
+                assert auditor.oracle_skips == reference.oracle_skips
+                found += sum(v.check == "prop-quarter" for v in got)
+    if any(AgentProfile(*p).kind is AgentType.TYPE1 for p in profiles):
+        assert found, "the hoarded traces should break the prop-quarter floor"
+

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairstream.metrics as metrics_module
 from fairstream.generators import interval_random, random_two_value
 from fairstream.metrics import (MMS_EXHAUSTIVE_MAX_GOODS, REL_TOL, CycleError, EnvyGraph,
                                 PairwiseTracker, ReportBuilder, _capped_partitions, _gt,
@@ -275,6 +276,29 @@ def test_topo_sort_cycle_witness_skips_vertices_fed_by_a_cycle(n, edges, cycle):
     with pytest.raises(CycleError) as exc:
         topo_sort(EnvyGraph(n, {e: 1 for e in edges}))
     assert exc.value.cycle == cycle
+
+
+def test_topo_sort_runs_one_pass_per_graph(monkeypatch):
+    """A second sort of one graph reuses its order, as a fresh list, or
+    raises the same witness again; equality and repr ignore the kept order."""
+    passes = []
+    kahn = metrics_module._kahn
+    monkeypatch.setattr(metrics_module, "_kahn", lambda g: passes.append(g) or kahn(g))
+    g = EnvyGraph(3, {(3, 1): 2, (2, 1): 1})
+    first = topo_sort(g)
+    first[0] = 99
+    assert topo_sort(g) == [3, 1, 2] and len(passes) == 1
+    assert g == EnvyGraph(3, {(3, 1): 2, (2, 1): 1})
+    assert repr(g) == "EnvyGraph(n=3, edges={(3, 1): 2, (2, 1): 1})"
+    # a new graph of the same size gets its own pass
+    assert topo_sort(EnvyGraph(3)) == [1, 2, 3] and len(passes) == 2
+    cyclic = EnvyGraph(4, {(1, 2): 1, (2, 3): 1, (3, 2): 1, (3, 4): 1})
+    witnesses = []
+    for _ in range(2):
+        with pytest.raises(CycleError) as exc:
+            topo_sort(cyclic)
+        witnesses.append(exc.value.cycle)
+    assert witnesses == [[2, 3], [2, 3]] and len(passes) == 3
 
 
 def test_report_builder_csv_schema():
@@ -757,12 +781,49 @@ def test_efk_holds_keeps_the_float_tolerance():
     assert tr.efk_failures(1) == []
 
 
+def _efk_failures_by_holds(tr, k, num, den):
+    """`efk_failures` as one `efk_holds` call per viewer, then a scan over j."""
+    return [(i, j) for i in range(1, tr.n + 1) if not tr.efk_holds(i, k, num, den)
+            for j in range(1, tr.n + 1) if j != i and not tr.is_efk(i, j, k, num, den)]
+
+
+@pytest.mark.parametrize("kind", ["int", "float", "interval"])
+def test_efk_failures_equal_one_efk_holds_call_per_viewer(kind):
+    """The one-pass `efk_failures` returns the pairs of the per-viewer
+    `efk_holds` test, in the same order, for k = 0, 1, 2 and the ratios 1
+    and 1/2, on streams whose bundles grow unevenly enough that every
+    (k, ratio) fails somewhere."""
+    cases = [(k, num, den) for k in range(3) for num, den in ((1, 1), (1, 2))]
+    failing = dict.fromkeys(cases, 0)
+    for n in (2, 3, 5):
+        for seed in range(3):
+            if kind == "interval":
+                inst = interval_random(n, 60, seed)
+            else:
+                pool = [(5, 1), (2, 1), (3, 2), (1, 1), (4, 0)] if kind == "int" else \
+                    [(0.7, 0.1), (2.5, 0.3), (1.1, 1.1), (0.3, 0.0), (3.3, 0.7)]
+                inst = random_two_value(n, 60, seed, bias=0.4, profiles=pool)
+            state = AllocationState(inst)
+            rng = random.Random(seed)
+            for g in inst.goods:
+                state.assign(g, rng.choice([1, 1, 1, 2, rng.randrange(1, n + 1)]))
+                tr = state.pairwise()
+                for case in cases:
+                    got = tr.efk_failures(*case)
+                    assert got == _efk_failures_by_holds(tr, *case), (state.t, case)
+                    failing[case] += len(got)
+    assert all(failing.values()), failing
+
+
 def test_a_run_feeds_one_tracker_once_per_good(monkeypatch, tmp_path):
-    """Bare deferred priority never builds the ledger; an audited
+    """Bare deferred priority never builds the ledger, and neither does its
+    audit when every agent's values are exact: it adds up an exact agent's
+    value seen from its counts.  With a float value the audit builds the
+    ledger on its first step and feeds it once per good.  An audited
     priority-matching CLI run with per-step reports builds exactly one and
     feeds it once per good."""
     from fairstream.cli import main
-    from fairstream.deferred_priority import DeferredPriority
+    from fairstream.deferred_priority import DeferredPriority, DeferredPriorityAuditor
     from fairstream.driver import run_online
     from fairstream.generators import random_two_value
 
@@ -776,6 +837,17 @@ def test_a_run_feeds_one_tracker_once_per_good(monkeypatch, tmp_path):
     monkeypatch.setattr(PairwiseTracker, "observe", counting)
     run_online(DeferredPriority(), random_two_value(4, 50, seed=1))
     assert fed == []
+    for profiles, per_good in [
+            ([(5, 1), (2, 1), (1, 1), (1, 0)], 0),
+            ([(Fraction(5, 2), Fraction(2, 3)), (3, Fraction(1, 2)), (5, 1), (0, 0)], 0),
+            ([(0.7, 0.1), (2.5, 0.3), (1.1, 1.1), (0.3, 0.0)], 1),
+            ([(5, 1.5), (3, 0.5), (4, 2.0), (2, 1)], 1)]:
+        fed.clear()
+        inst = random_two_value(4, 50, seed=1, profiles=profiles)
+        auditor = DeferredPriorityAuditor(inst, share_bounds=True)
+        run_online(DeferredPriority(), inst, auditors=[auditor])
+        assert len(fed) == per_good * inst.m and len(set(fed)) == per_good, profiles
+    fed.clear()
     m = 31
     assert main(["run", "--alg", "priority-matching", "--gen", "random-2value", "--n", "3",
                  "--m", str(m), "--seed", "2", "--foresight", "2", "--granularity", "step",
