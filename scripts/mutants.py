@@ -291,6 +291,24 @@ MUTANTS = [
         "                    Violation(\"edge-envy\"",
         ["tests/test_golden_verdicts.py"],
     ),
+    # the ledger's count of high goods seen treats a flat agent (alpha ==
+    # beta) as seeing a good high only when its flag is set
+    (
+        "high-seen-no-flat-test",
+        "fairstream/model.py",
+        "view = [h or f for h, f in zip(event.high, flat)]",
+        "view = [h for h, f in zip(event.high, flat)]",
+        ["tests/test_step_views.py"],
+    ),
+    # the count of high goods seen never records how far it has counted, so
+    # each read counts every good of the log again
+    (
+        "high-seen-counter-stays",
+        "fairstream/model.py",
+        "            self._hs_t = self.t\n",
+        "",
+        ["tests/test_step_views.py"],
+    ),
     # deferred priority treats a flat agent (alpha == beta) as seeing a good
     # high only when its flag is set
     (

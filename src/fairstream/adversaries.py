@@ -73,7 +73,7 @@ class _AdaptiveRun:
         self.instance.validate_good(good)
         self.instance.goods.append(good)
         agent = self.alg.choose(self.state, good, [])
-        if not isinstance(agent, int) or not 1 <= agent <= self.n:
+        if agent.__class__ is not int or not 1 <= agent <= self.n:
             raise RuntimeError(f"{self.alg.name} returned invalid agent {agent!r}")
         self.state.assign(good, agent)
         self.choices.append(agent)

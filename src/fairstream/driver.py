@@ -64,7 +64,7 @@ def run_online(alg: OnlineAlgorithm, instance: Instance, auditors=()) -> Trace:
     for pos, good in enumerate(goods):
         window = goods[pos + 1: pos + 1 + ell] if ell else []
         agent = alg.choose(state, good, window)
-        if not isinstance(agent, int) or not 1 <= agent <= instance.n:
+        if agent.__class__ is not int or not 1 <= agent <= instance.n:
             raise RuntimeError(f"{alg.name} returned invalid agent {agent!r}")
         before = state.high_received[agent - 1]
         state.assign(good, agent)

@@ -163,8 +163,14 @@ class AllocationState:
 
     It keeps the arrival log (`goods_seen`, and `recipients`, the agent of
     each step) and running tallies; a bundle is the steps whose recipient is
-    its owner.  `high_seen[i-1]` counts goods worth alpha_i among those seen
-    so far, matching the stream prefix regardless of who received them.
+    its owner.  Besides the log, `assign` counts only the recipient's goods
+    and, from the recipient's own view, its high goods (`goods_received`,
+    `high_received`), and feeds the tracker below once it is built.
+    `high_seen[i-1]` counts goods worth alpha_i among those seen so far,
+    matching the stream prefix regardless of who received them.  It is
+    brought up to date when it is read: a reader that checks every step
+    counts one good per read, one that checks once per round counts the
+    round at once, and a run that never reads it counts nothing.
 
     `pairwise()` returns the run's only `PairwiseTracker`: every bundle's
     value from every agent's view.  It is built from the log the first time
@@ -181,7 +187,8 @@ class AllocationState:
     """
 
     __slots__ = ("instance", "n", "t", "goods_seen", "recipients", "goods_received",
-                 "high_received", "high_seen", "_agents", "_flat", "_alphas", "_pairwise", "_mms")
+                 "high_received", "_high_seen", "_hs_t", "_agents", "_flat", "_alphas",
+                 "_pairwise", "_mms")
 
     def __init__(self, instance: Instance):
         self.instance = instance
@@ -192,7 +199,8 @@ class AllocationState:
         self.recipients = []
         self.goods_received = [0] * self.n
         self.high_received = [0] * self.n
-        self.high_seen = [0] * self.n
+        self._high_seen = [0] * self.n
+        self._hs_t = 0  # goods counted in `_high_seen`
         self._flat = [p.alpha == p.beta for p in self._agents]  # sees every good high
         self._alphas = [p.alpha for p in self._agents]
         self._pairwise = None
@@ -210,19 +218,33 @@ class AllocationState:
         self.t += 1
         self.goods_seen.append(event)
         self.recipients.append(agent)
-        self.goods_received[agent - 1] += 1
-        # every agent's `sees_high`, in one pass over the good
-        if event.high is not None:
-            view = [h or f for h, f in zip(event.high, self._flat)]
-        else:
-            view = [v == a for v, a in zip(event.values, self._alphas)]
-        seen = self.high_seen
-        for i in compress(range(self.n), view):
-            seen[i] += 1
-        if view[agent - 1]:
-            self.high_received[agent - 1] += 1
+        a = agent - 1
+        self.goods_received[a] += 1
+        # the recipient's `sees_high`; every other agent's waits for `high_seen`
+        if (event.high[a] or self._flat[a]) if event.high is not None else \
+                event.values[a] == self._alphas[a]:
+            self.high_received[a] += 1
         if self._pairwise is not None:
             self._pairwise.observe(event, agent)
+
+    @property
+    def high_seen(self) -> list:
+        """`high_seen[i-1]` counts the goods seen so far that are worth
+        alpha_i, whoever received them.  The goods that arrived since the
+        last read are counted now, one pass over every agent's view of each;
+        the same list is returned every time and must not be mutated."""
+        seen = self._high_seen
+        if self._hs_t < self.t:
+            rng, flat, alphas = range(self.n), self._flat, self._alphas
+            for event in self.goods_seen[self._hs_t:]:
+                if event.high is not None:
+                    view = [h or f for h, f in zip(event.high, flat)]
+                else:
+                    view = [v == a for v, a in zip(event.values, alphas)]
+                for i in compress(rng, view):
+                    seen[i] += 1
+            self._hs_t = self.t
+        return seen
 
     def pairwise(self):
         """The run's `PairwiseTracker`, built from the log on first use."""

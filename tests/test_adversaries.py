@@ -127,6 +127,25 @@ def test_adversaries_reject_a_non_integer_choice_as_run_online_does(adversary):
         adversary(_FloatChoice())
 
 
+class _BoolChoice(_AlwaysFirst):
+    name = "bool-choice"
+
+    def choose(self, state, good, window):
+        return True
+
+
+@pytest.mark.parametrize("adversary", [ef1_adversary, lambda alg: mms_adversary(alg, 3)],
+                         ids=["ef1", "mms"])
+def test_adversaries_reject_a_bool_choice_as_run_online_does(adversary):
+    """`True` is an int to `isinstance` and equals agent 1, but it is not an
+    agent index: it is refused, not run as agent 1 and printed as `True`."""
+    inst = random_two_value(2, 3, 0)
+    with pytest.raises(RuntimeError, match=r"^bool-choice returned invalid agent True$"):
+        run_online(_BoolChoice(), inst)
+    with pytest.raises(RuntimeError, match=r"^bool-choice returned invalid agent True$"):
+        adversary(_BoolChoice())
+
+
 def test_emitted_instance_replays_to_same_witness():
     trace = mms_adversary(DeferredPriority(), 3)
     replay = run_online(DeferredPriority(), trace.instance)

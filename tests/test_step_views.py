@@ -1,14 +1,15 @@
 """The loops that read every agent's view of a good at once.
 
-`dp_step`, `AllocationState.assign` and `PairwiseTracker.observe` each read
-per-agent flags derived once per run (alpha == beta, alpha > 0) instead of
-asking `sees_high` or `value` once per agent; `plan_round` and
+`dp_step`, `AllocationState.high_seen` and `PairwiseTracker.observe` each
+read per-agent flags derived once per run (alpha == beta, alpha > 0) instead
+of asking `sees_high` or `value` once per agent; `plan_round` and
 `aux_weight_matrix` build a round's high masks with `sees_high` inlined.
 Each is compared here with
 the direct oracles on mixed profiles: flat, (0, 0), beta = 0, float and
 integer 2-value agents, and float and integer-valued interval streams,
 where a value can equal alpha.  `dp_step_reference` is the per-agent loop
-that `dp_step` replaced, kept as its oracle.
+that `dp_step` replaced, kept as its oracle.  `high_seen`, counted when it
+is read, is compared with a recount under each read pattern.
 """
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,6 +142,58 @@ def test_ledger_high_counts_match_a_sees_high_recount(run):
         assert state.high_received == [
             sum(sees_high(p, seen[idx - 1], i) for idx in bundles(state)[i - 1])
             for i, p in enumerate(inst.agents, 1)]
+
+
+def _recount(inst, t):
+    """Every agent's `sees_high` count over the first t goods."""
+    return [sum(sees_high(p, e, i) for e in inst.goods[:t]) for i, p in enumerate(inst.agents, 1)]
+
+
+@given(runs(), st.sampled_from([None, 1, 2, 3, 5]))
+@settings(max_examples=300, deadline=None)
+def test_high_seen_matches_a_recount_under_every_read_pattern(run, every):
+    """`high_seen` counts the goods since its last read when it is read.
+    Whether it is never read before t = m (`every` None), read every k-th
+    step or read every step, each read equals a direct recount of the log,
+    a second read at the same step counts nothing again, and every read
+    returns the same list."""
+    inst, recipients = run
+    state = AllocationState(inst)
+    first = state.high_seen
+    for t, (g, a) in enumerate(zip(inst.goods, recipients), 1):
+        state.assign(g, a)
+        if every is not None and t % every == 0:
+            assert state.high_seen == _recount(inst, t)
+    assert state.high_seen == state.high_seen == _recount(inst, inst.m)
+    assert state.high_seen is first
+
+
+def test_a_bare_run_never_counts_high_goods_seen(monkeypatch):
+    """Nothing in a bare `run_online` of deferred priority or priority
+    matching reads `high_seen`, so the counting pass never runs.  The
+    deferred-priority auditor reads it once per step and counts one good
+    each time."""
+    from fairstream.deferred_priority import DeferredPriority, DeferredPriorityAuditor
+    from fairstream.driver import run_online
+    from fairstream.generators import random_two_value
+    from fairstream.matching import PriorityMatching
+
+    counted = []
+    read = AllocationState.high_seen.fget
+
+    def counting(state):
+        counted.append(state.t - state._hs_t)
+        return read(state)
+
+    monkeypatch.setattr(AllocationState, "high_seen", property(counting))
+    profiles = [(5, 1), (3, 3), (4, 0), (0, 0), (6, 2)]
+    dp = random_two_value(10, 100, seed=1, profiles=profiles)
+    pm = random_two_value(4, 40, seed=1, profiles=profiles, foresight=3)
+    run_online(DeferredPriority(), dp)
+    run_online(PriorityMatching(), pm)
+    assert counted == []
+    run_online(DeferredPriority(), dp, auditors=[DeferredPriorityAuditor(dp)])
+    assert sum(counted) == dp.m and set(counted) == {1}
 
 
 @given(runs())
