@@ -24,6 +24,11 @@ CASES = {
                              "--n", "4", "--m", "200", "--seed", "2"],
     "deferred-priority-n16": ["--alg", "deferred-priority", "--gen", "random-2value",
                               "--n", "16", "--m", "200", "--seed", "3"],
+    # (int alpha, float beta) agents: agent 1's share prints 4 at t = 7 and
+    # 4.0 at t = 8, so the class of each value is pinned too.
+    "deferred-priority-n4-mixed": ["--alg", "deferred-priority", "--gen", "random-2value",
+                                   "--n", "4", "--m", "200", "--seed", "9",
+                                   "--profiles", "4:2.0,5:1.5,3:3,2.5:1"],
     "priority-matching-n3": ["--alg", "priority-matching", "--gen", "random-2value",
                              "--n", "3", "--m", "30", "--seed", "4", "--foresight", "2"],
     "priority-matching-n8": ["--alg", "priority-matching", "--gen", "random-2value",
