@@ -73,6 +73,24 @@ MUTANTS = [
         "least = (t - n) // (2 * n - 1) if t >= n else 0",
         ["tests/test_golden_verdicts.py", "tests/test_deferred_priority.py"],
     ),
+    # the report writer reuses an agent's maximin text for an equal share of
+    # another class, so a share that turns from 4 to 4.0 still prints "4"
+    (
+        "report-memo-untyped-key",
+        "fairstream/metrics.py",
+        "                key = (mine, mu, mine.__class__, mu.__class__)\n",
+        "                key = (mine, mu)\n",
+        ["tests/test_report_text.py", "tests/test_golden_reports.py"],
+    ),
+    # the report writer reuses an agent's EF/EF1/EF2 text while the largest
+    # removable values stay, even after the agent's own bundle grew
+    (
+        "report-memo-ignores-own",
+        "fairstream/metrics.py",
+        "            key = (mine, a, b, c, mine.__class__, a.__class__, b.__class__, c.__class__)\n",
+        "            key = (a, b, c, a.__class__, b.__class__, c.__class__)\n",
+        ["tests/test_report_text.py", "tests/test_golden_reports.py"],
+    ),
     # a ratio just below 1 is written as "1.0"
     (
         "ratio-text-one-below-den",

@@ -148,7 +148,22 @@ def _generate_from_args(args) -> Instance:
     raise ValueError(f"unknown generator {kind!r}")
 
 
+def _check_distinct_files(args):
+    """A ValueError when two of `--instance`, `--trace-out` and
+    `--report-out` resolve to one file: the run would overwrite its own
+    input, or one output the other."""
+    named = {}
+    for option, path in (("--instance", args.instance), ("--trace-out", args.trace_out),
+                         ("--report-out", args.report_out)):
+        if path:
+            key = Path(path).resolve()
+            if key in named:
+                raise ValueError(f"{option}: names the same file as {named[key]}")
+            named[key] = option
+
+
 def cmd_run(args) -> int:
+    _check_distinct_files(args)
     inst = _load_or_generate(args)
     alg = make_algorithm(args.alg)
     auditors = []

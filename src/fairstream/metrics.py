@@ -808,13 +808,40 @@ def _ratio_text(num, den) -> str:
 def report_csv_rows(reports):
     """Yield FairnessReports as CSV rows (header first), writing each ratio's
     text from the report's ledger quantities (`_ratio_text`).  Rows are formed
-    one at a time as they are read; wrap the call in `list` for a list."""
+    one at a time as they are read; wrap the call in `list` for a list.
+
+    Most agents' quantities repeat from one step to the next, so each agent
+    keeps its last EF/EF1/EF2 text with its inputs (own, d0, d1, d2) and its
+    last maximin text with (own, mu), and reuses a text while the inputs are
+    unchanged.  The keys hold each input's class too: 8 == 8.0, but one
+    prints "8" and the other "8.0".  Equal values of one class print alike:
+    own values and shares are sums from int 0, so none is -0.0.  The prop
+    text is formed every row: seen totals grow every step.  The memo holds
+    two entries per agent.
+    """
     yield ",".join(REPORT_COLUMNS)
     text = _ratio_text
+    ef_key, ef_text, mms_key, mms_text = [], [], [], []
     for rep in reports:
         n = len(rep.own)
+        for memo in (ef_key, ef_text, mms_key, mms_text):
+            memo.extend([None] * (n - len(memo)))
+        t = rep.t
         for i, (mine, a, b, c, seen, mu, deg) in enumerate(
-                zip(rep.own, rep.d0, rep.d1, rep.d2, rep.seen, rep.mms_value, rep.envy_out), 1):
-            mms = "," if mu is None else f"{_fmt(mu)},{text(mine, mu)}"
-            yield (f"{rep.t},{i},{text(mine, a)},{text(mine, b)},{text(mine, c)},"
-                   f"{text(n * mine, seen)},{mms},{deg}")
+                zip(rep.own, rep.d0, rep.d1, rep.d2, rep.seen, rep.mms_value, rep.envy_out)):
+            key = (mine, a, b, c, mine.__class__, a.__class__, b.__class__, c.__class__)
+            if key == ef_key[i]:
+                ef = ef_text[i]
+            else:
+                ef = ef_text[i] = f"{text(mine, a)},{text(mine, b)},{text(mine, c)}"
+                ef_key[i] = key
+            if mu is None:
+                mms = ","
+            else:
+                key = (mine, mu, mine.__class__, mu.__class__)
+                if key == mms_key[i]:
+                    mms = mms_text[i]
+                else:
+                    mms = mms_text[i] = f"{_fmt(mu)},{text(mine, mu)}"
+                    mms_key[i] = key
+            yield f"{t},{i + 1},{ef},{text(n * mine, seen)},{mms},{deg}"

@@ -48,6 +48,35 @@ def test_run_with_guarantees_and_outputs(tmp_path):
     assert len(r_rows) == 1 + 30 * 4  # every step, every agent
 
 
+@pytest.mark.parametrize("files, option, earlier", [
+    (("i.jsonl", "i.jsonl", None), "--trace-out", "--instance"),
+    (("i.jsonl", None, "i.jsonl"), "--report-out", "--instance"),
+    (("i.jsonl", "out.csv", "out.csv"), "--report-out", "--trace-out"),
+    (("i.jsonl", "out.csv", "./sub/../out.csv"), "--report-out", "--trace-out"),
+], ids=["trace-over-instance", "report-over-instance", "report-over-trace", "same-resolved"])
+def test_run_refuses_two_options_naming_one_file(tmp_path, capsys, monkeypatch, files,
+                                                 option, earlier):
+    """A run would overwrite its own input, or one output the other: exit 1
+    with an `error:` that names both options, and leave the instance as it
+    was."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert run_cli("generate", "--gen", "random-2value", "--n", "2", "--m", "6",
+                   "--out", "i.jsonl") == EXIT_OK
+    before = (tmp_path / "i.jsonl").read_bytes()
+    argv = ["run", "--alg", "round-robin"]
+    for flag, name in zip(("--instance", "--trace-out", "--report-out"), files):
+        if name:
+            argv += [flag, name]
+    capsys.readouterr()
+    code = run_cli(*argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT and captured.out == ""
+    assert captured.err == f"error: {option}: names the same file as {earlier}\n"
+    assert (tmp_path / "i.jsonl").read_bytes() == before
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_run_round_granularity(tmp_path):
     report = tmp_path / "r.csv"
     code = run_cli("run", "--alg", "priority-matching", "--gen", "random-2value",
