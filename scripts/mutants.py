@@ -336,6 +336,32 @@ MUTANTS = [
         "        if high:\n",
         ["tests/test_golden_traces.py", "tests/test_deferred_priority.py"],
     ),
+    # the structural replay check of deferred priority reports nothing
+    (
+        "structural-replay-silenced",
+        "fairstream/deferred_priority.py",
+        '            if v.check != "level-sets"]\n',
+        "            if False]\n",
+        ["tests/test_golden_verdicts.py"],
+    ),
+    # the level-set replay check filters on a check name the auditor never uses
+    (
+        "level-set-replay-wrong-name",
+        "fairstream/deferred_priority.py",
+        '            if v.check == "level-sets"]\n',
+        '            if v.check == "level-set"]\n',
+        ["tests/test_golden_verdicts.py"],
+    ),
+    # the round replay check keeps only the exchange records, which a default
+    # audit never makes
+    (
+        "round-replay-exchange-only",
+        "fairstream/matching.py",
+        "    return audit_trace(trace, PriorityMatchingAuditor(trace.instance))\n",
+        "    return [v for v in audit_trace(trace, PriorityMatchingAuditor(trace.instance))\n"
+        '            if v.check == "exchange"]\n',
+        ["tests/test_golden_verdicts.py"],
+    ),
 ]
 
 # (name, file under src/, original text, mutated text, reason)

@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Threshold-reduction walkthrough: generate an interval-restricted stream,
 round it to its 2-value proxy, run an allocation rule on the proxy, and report
-the worst fairness ratios under both value systems next to the transferred
-floors.  Also prints the trivial round-robin comparison for small a_star.
+the worst ratios under the original values next to the floors the rule
+claims, transferred at a cost of a_star: the maximin floor 1/((2n-1)*a_star)
+for deferred priority, and EF2 at every step and EF1 at multiples of n, both
+at 1/a_star, for priority matching.  Exits 1 if the run breaks one.  Also
+prints the round-robin ratios, which claim no floor, for comparison.
 
 Example:
     python scripts/reduction_demo.py --n 3 --m 12 --seed 1 --alg deferred-priority
@@ -14,6 +17,7 @@ from fairstream.baselines import RoundRobin
 from fairstream.cli import ALGORITHMS
 from fairstream.driver import run_online
 from fairstream.generators import interval_random
+from fairstream.metrics import REL_TOL
 from fairstream.reduction import lift_guarantee, threshold_round
 
 
@@ -39,22 +43,33 @@ def main():
 
     trace = run_online(ALGORITHMS[args.alg](), pair.proxy)
     rows = lift_guarantee(pair, trace)
-    n = args.n
+    n, a_star = args.n, pair.a_star
+    # (metric, transferred floor, checked at multiples of this, or at every step)
+    if args.alg == "deferred-priority":
+        floors = [("mms", 1 / ((2 * n - 1) * a_star), None)]
+    else:
+        floors = [("ef2", 1 / a_star, None), ("ef1", 1 / a_star, n)]
     print(f"{args.alg} on the proxy, ratios under original values:")
-    for key, floor, boundary in (("mms", 1 / ((2 * n - 1) * pair.a_star), None),
-                                 ("ef2", 1 / pair.a_star, None),
-                                 ("ef1", 1 / pair.a_star, n)):
+    breached = []
+    for key, floor, boundary in floors:
         worst = _worst(rows, key, boundary)
         if worst is not None:
             where = f" at multiples of {boundary}" if boundary else ""
-            print(f"  worst {key}{where}: {worst:.4f}  (transferred floor {floor:.4f})")
+            note = ""
+            if worst < floor - REL_TOL:
+                breached.append(key)
+                note = ", BREACHED"
+            print(f"  worst {key}{where}: {worst:.4f}  (transferred floor {floor:.4f}{note})")
 
     rr_rows = lift_guarantee(pair, run_online(RoundRobin(), pair.proxy))
-    print(f"round-robin comparison (trivial 1/a* = {1 / pair.a_star:.4f} floor):")
+    print("round-robin comparison (claims no floor):")
     for key in ("ef1", "mms"):
         worst = _worst(rr_rows, key)
         if worst is not None:
             print(f"  worst {key}: {worst:.4f}")
+    if breached:
+        print(f"transferred floors breached: {', '.join(breached)}")
+        return 1
     return 0
 
 

@@ -28,7 +28,7 @@ def main():
     total = Counter()
     t0 = time.time()
     for n in args.ns:
-        foresight = {"naive-matching": 1, "priority-matching": n - 1}.get(args.alg, 0)
+        foresight = ALGORITHMS[args.alg]().min_foresight(n)
         for seed in range(args.seeds):
             inst = random_two_value(n, args.m, seed=n * 1_000_000 + seed,
                                     bias=args.bias, foresight=foresight)

@@ -15,8 +15,7 @@ from .metrics import (CycleError, EnvyGraph, FairnessReport, ReportBuilder,
                       mms_exhaustive, mms_two_value, topo_sort)
 from .deferred_priority import (DeferredPriority, PriorityState,
                                 check_structural_guarantees, dp_step)
-from .matching import (NaiveMatching, PriorityMatching, check_alternation_guarantees,
-                       check_asymptotics, check_round_guarantees, naive_step)
+from .matching import NaiveMatching, PriorityMatching, check_round_guarantees, naive_step
 from .baselines import GreedyWelfare, RoundRobin, round_robin_agent
 from .adversaries import ef1_adversary, mms_adversary, worst_step_share_ratio
 from .generators import (interval_random, lows_then_highs, random_two_value,

@@ -328,10 +328,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_gen_opts(run)
     run.add_argument("--foresight", type=int, default=None,
                      help="override the instance's lookahead length")
-    run.add_argument("--granularity", choices=["step", "round", "final"], default="step")
-    run.add_argument("--assert-guarantees", action="store_true")
-    run.add_argument("--trace-out")
-    run.add_argument("--report-out")
+    run.add_argument("--granularity", choices=["step", "round", "final"], default="step",
+                     help="the steps t that get one report row per agent: every step "
+                          "(default), t a multiple of n (a last partial round gets no "
+                          "row), or t = m (no row when m = 0)")
+    run.add_argument("--assert-guarantees", action="store_true",
+                     help="audit the rule's guarantees during the run and exit 2 on a "
+                          "violation (a rule that claims none runs unaudited)")
+    run.add_argument("--trace-out", help="write the trace CSV to this file")
+    run.add_argument("--report-out", help="write the report CSV to this file, not stdout")
     run.set_defaults(func=cmd_run)
 
     gen = sub.add_parser("generate", help="write a seeded instance file")

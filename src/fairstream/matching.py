@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .assignment import max_weight_assignment, priority_assignment
-from .driver import Violation, audit_trace, replay_states
+from .driver import Violation, audit_trace
 from .metrics import (CycleError, build_envy_graph, mms_two_value, topo_sort, _floor_certified,
                       _is_exact, REL_TOL)
 from .model import AllocationState, GoodEvent, Instance, OnlineAlgorithm
@@ -289,11 +289,6 @@ class NaiveMatchingAuditor:
         return self.violations
 
 
-def check_alternation_guarantees(trace):
-    """Audit a naive-matching trace; returns violations."""
-    return audit_trace(trace, NaiveMatchingAuditor(trace.instance))
-
-
 class PriorityMatchingAuditor:
     """Exact streaming checks for priority matching.
 
@@ -394,56 +389,6 @@ class PriorityMatchingAuditor:
         return self.violations
 
 
-def check_round_guarantees(trace, exchange=False):
+def check_round_guarantees(trace):
     """Audit a priority-matching trace; returns violations."""
-    return audit_trace(trace, PriorityMatchingAuditor(trace.instance, exchange=exchange))
-
-
-# ---------------------------------------------------------------------------
-# long-run floors after value accumulates
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AsymptoticsResult:
-    lam: int
-    t_star: int | None
-    violations: list
-
-
-def check_asymptotics(trace, lam: int, naive=False) -> AsymptoticsResult:
-    """Once every agent i holds value at least lam * alpha_i (step t*), the
-    allocation must stay lam/(lam+2)-envy-free, lam/(lam+1)-envy-free-up-to-1,
-    and lam/(lam+2)-proportional from t* on (lam/(lam+1)-proportional for the
-    two-agent rule)."""
-    inst = trace.instance
-    n = inst.n
-    t_star = None
-    prop_den = lam + 1 if naive else lam + 2
-    violations = []
-    for state, _ in replay_states(trace):
-        tr = state.pairwise()
-        t = state.t
-        if t_star is None:
-            if all(tr.val[i][i] >= lam * inst.agents[i - 1].alpha
-                   for i in range(1, n + 1)):
-                t_star = t
-        if t_star is None:
-            continue
-        d0 = tr.maxima()[0][0]
-        for i in range(1, n + 1):
-            own = tr.val[i][i]
-            if prop_den * n * own < lam * tr.seen_total[i]:
-                violations.append(Violation("prop-floor", t, i, f"v={own}"))
-            # both floors are monotone in the other side: scan j only when
-            # the largest value fails one of them
-            if (lam + 2) * own >= lam * d0[i] and tr.efk_holds(i, 1, lam, lam + 1):
-                continue
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                if (lam + 2) * own < lam * tr.val[i][j]:
-                    violations.append(Violation("ef-floor", t, i, f"vs agent {j}"))
-                if not tr.is_efk(i, j, 1, lam, lam + 1):
-                    violations.append(Violation("ef1-floor", t, i, f"vs agent {j}"))
-    return AsymptoticsResult(lam, t_star, violations)
+    return audit_trace(trace, PriorityMatchingAuditor(trace.instance))

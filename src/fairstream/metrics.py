@@ -599,18 +599,11 @@ class PairwiseTracker:
                 self._envy_out[i] += 1
         self._recount(a)
 
-    def efk_holds(self, i: int, k: int, num=1, den=1) -> bool:
-        """`is_efk(i, j, k, num, den)` for every j != i, tested once against
-        the largest removable value (`_geq` is monotone in it)."""
-        lhs = den * self.val[i][i]
-        rhs = num * (self._dmax or self.maxima()[0])[k][i]
-        return lhs >= rhs or _geq(lhs, rhs)  # lhs >= rhs implies _geq
-
     def efk_failures(self, k: int, num=1, den=1) -> list:
         """The pairs (i, j), in index order, with `is_efk(i, j, k, num,
-        den)` false.  One pass tests each viewer as `efk_holds` does, against
-        its largest removable value; only a viewer that fails is scanned
-        over j."""
+        den)` false.  One pass tests each viewer once, against its largest
+        removable value (`_geq` is monotone in it); only a viewer that fails
+        is scanned over j."""
         n, val = self.n, self.val
         dk = (self._dmax or self.maxima()[0])[k]
         out = []

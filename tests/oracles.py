@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 
 from fairstream.deferred_priority import DeferredPriorityAuditor, PriorityState
-from fairstream.driver import audit_trace
+from fairstream.driver import Violation, audit_trace, replay_states
 from fairstream.matching import CONTESTED_I, CONTESTED_II, PATTERN_TABLE
 from fairstream.metrics import _ONE, REL_TOL, _ratio, mms_share
 from fairstream.model import AllocationState, Instance, value
@@ -129,6 +129,41 @@ def check_share_bounds(trace):
     return [v for v in audit_trace(trace, DeferredPriorityAuditor(trace.instance,
                                                                   share_bounds=True))
             if v.check.startswith(("mms-", "prop-"))]
+
+
+def per_pair_asymptotics(trace, lam, naive=False):
+    """The paper's long-run floors for the matching rules, on every pair.
+
+    Once every agent i holds value at least lam * alpha_i (step t*), the
+    allocation must stay lam/(lam+2)-envy-free, lam/(lam+1)-envy-free-up-to-1
+    and lam/(lam+2)-proportional from t* on (lam/(lam+1)-proportional for the
+    two-agent rule).  Returns (t_star, violations); t_star is None when the
+    premise is never reached."""
+    inst = trace.instance
+    n = inst.n
+    t_star = None
+    prop_den = lam + 1 if naive else lam + 2
+    violations = []
+    for state, _ in replay_states(trace):
+        tr = state.pairwise()
+        t = state.t
+        if t_star is None and all(tr.val[i][i] >= lam * inst.agents[i - 1].alpha
+                                  for i in range(1, n + 1)):
+            t_star = t
+        if t_star is None:
+            continue
+        for i in range(1, n + 1):
+            own = tr.val[i][i]
+            if prop_den * n * own < lam * tr.seen_total[i]:
+                violations.append(Violation("prop-floor", t, i, f"v={own}"))
+            for j in range(1, n + 1):
+                if i == j:
+                    continue
+                if (lam + 2) * own < lam * tr.val[i][j]:
+                    violations.append(Violation("ef-floor", t, i, f"vs agent {j}"))
+                if not tr.is_efk(i, j, 1, lam, lam + 1):
+                    violations.append(Violation("ef1-floor", t, i, f"vs agent {j}"))
+    return t_star, violations
 
 
 def pattern_table_json() -> list:

@@ -19,10 +19,10 @@ from fairstream.deferred_priority import DeferredPriority, DeferredPriorityAudit
 from fairstream.driver import run_online
 from fairstream.generators import interval_random, random_two_value
 from fairstream.matching import (NaiveMatching, NaiveMatchingAuditor, PriorityMatching,
-                                 PriorityMatchingAuditor, check_asymptotics)
+                                 PriorityMatchingAuditor)
 from fairstream.metrics import mms_exhaustive, mms_two_value
 from fairstream.reduction import lift_guarantee, threshold_round
-from oracles import sandwich_holds
+from oracles import per_pair_asymptotics, sandwich_holds
 
 CORPUS_NS = (2, 3, 4, 5, 6)
 CORPUS_SEEDS = 1000
@@ -221,18 +221,18 @@ def test_criterion_11_long_run_floors():
         inst = random_two_value(2, 2000, seed=60_000 + i, bias=0.4, foresight=1)
         trace = run_online(NaiveMatching(), inst)
         for lam in (1, 2, 4):
-            res = check_asymptotics(trace, lam, naive=True)
-            if res.t_star is None:
+            t_star, violations = per_pair_asymptotics(trace, lam, naive=True)
+            if t_star is None:
                 unreached += 1
-            failures.extend(res.violations)
+            failures.extend(violations)
     for i in range(50):
         inst = random_two_value(3, 2000, seed=61_000 + i, bias=0.4, foresight=2)
         trace = run_online(PriorityMatching(), inst)
         for lam in (1, 2, 4):
-            res = check_asymptotics(trace, lam)
-            if res.t_star is None:
+            t_star, violations = per_pair_asymptotics(trace, lam)
+            if t_star is None:
                 unreached += 1
-            failures.extend(res.violations)
+            failures.extend(violations)
     ok = not failures and unreached == 0
     _report(11, ok, "100 streams of m=2000, lam in {1,2,4}: floors lam/(lam+2)-EF, "
                     f"lam/(lam+1)-EF1, prop; {len(failures)} violations, "

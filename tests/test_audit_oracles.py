@@ -1,11 +1,12 @@
 """Auditors that read the ledger's per-viewer maxima against per-pair oracles.
 
-`PriorityMatchingAuditor`, `NaiveMatchingAuditor` and `check_asymptotics`
-test each viewer once, against its largest removable value over the other
-agents (`PairwiseTracker.maxima`), and scan the other agents only for a
-viewer whose maximum fails.  The functions below are the per-pair loops
-they replaced: every ordered pair (i, j) at every step.  Both must report
-the same `Violation` records in the same order.
+`PriorityMatchingAuditor` and `NaiveMatchingAuditor` test each viewer
+once, against its largest removable value over the other agents
+(`PairwiseTracker.maxima`), and scan the other agents only for a viewer
+whose maximum fails.  The functions below are the per-pair loops they
+replaced: every ordered pair (i, j) at every step.  Both must report the
+same `Violation` records in the same order.  (The long-run floors have only
+the per-pair form, `oracles.per_pair_asymptotics`.)
 
 The golden verdict fixture pins these auditors on integer instances only,
 so the corpus here is float-valued: priority and naive matching on 2-value
@@ -22,7 +23,7 @@ import pytest
 from fairstream.driver import Trace, Violation, audit_trace, replay_states, run_online
 from fairstream.generators import interval_random, random_two_value
 from fairstream.matching import (NaiveMatching, NaiveMatchingAuditor, PriorityMatching,
-                                 PriorityMatchingAuditor, check_asymptotics)
+                                 PriorityMatchingAuditor)
 from fairstream.reduction import threshold_round
 
 FLOAT_PROFILES = ((2.5, 1), (5, 1.5), (2.5, 2.5), (1.5, 0), (0.3, 0.1), (0.7, 0.1), (7.1, 0.3))
@@ -77,36 +78,6 @@ def per_pair_alternation_checks(trace):
                 if not tr.is_efk(i, j, 1):
                     out.append(Violation("ef1-even", t, i, f"vs agent {j}"))
     return out
-
-
-def per_pair_asymptotics(trace, lam, naive=False):
-    """`check_asymptotics` with its EF and EF1 floors checked on every pair;
-    returns (t_star, violations)."""
-    inst = trace.instance
-    n = inst.n
-    t_star = None
-    prop_den = lam + 1 if naive else lam + 2
-    violations = []
-    for state, _ in replay_states(trace):
-        tr = state.pairwise()
-        t = state.t
-        if t_star is None and all(tr.val[i][i] >= lam * inst.agents[i - 1].alpha
-                                  for i in range(1, n + 1)):
-            t_star = t
-        if t_star is None:
-            continue
-        for i in range(1, n + 1):
-            own = tr.val[i][i]
-            if prop_den * n * own < lam * tr.seen_total[i]:
-                violations.append(Violation("prop-floor", t, i, f"v={own}"))
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                if (lam + 2) * own < lam * tr.val[i][j]:
-                    violations.append(Violation("ef-floor", t, i, f"vs agent {j}"))
-                if not tr.is_efk(i, j, 1, lam, lam + 1):
-                    violations.append(Violation("ef1-floor", t, i, f"vs agent {j}"))
-    return t_star, violations
 
 
 def _float_stream(n, seed):
@@ -164,12 +135,8 @@ def test_priority_auditor_matches_per_pair_loops(make):
         assert aud.half_ef1_failures == half_failures
         seen.update(v.check for v in want)
         seen["half-ef1"] += bool(half_failures)
-        for lam in (1, 2):
-            res = check_asymptotics(trace, lam)
-            assert (res.t_star, res.violations) == per_pair_asymptotics(trace, lam)
-            seen.update(v.check for v in res.violations)
     # the corpus breaks every check the maxima serve
-    for check in ("ef2", "ef1-round", "half-ef1", "ef-floor", "ef1-floor"):
+    for check in ("ef2", "ef1-round", "half-ef1"):
         assert seen[check] > 0, (check, seen)
 
 
@@ -181,7 +148,4 @@ def test_naive_auditor_matches_per_pair_loops(make):
         want = per_pair_alternation_checks(trace)
         assert [v for v in got if v.check in ("ef2", "ef1-even")] == want
         seen.update(v.check for v in want)
-        for lam in (1, 2):
-            res = check_asymptotics(trace, lam, naive=True)
-            assert (res.t_star, res.violations) == per_pair_asymptotics(trace, lam, naive=True)
     assert seen["ef2"] > 0 and seen["ef1-even"] > 0, seen

@@ -87,6 +87,21 @@ def test_run_round_granularity(tmp_path):
     assert len(rows) == 1 + 4 * 3  # four round boundaries, three agents
 
 
+@pytest.mark.parametrize("gran, m, steps", [
+    ("round", 7, 2),  # t = 3 and t = 6; the final allocation at t = 7 is not a boundary
+    ("final", 7, 1),
+    ("final", 0, 0),  # the header only
+    ("step", 7, 7),
+])
+def test_run_granularity_picks_the_reported_steps(capsys, gran, m, steps):
+    assert run_cli("run", "--alg", "round-robin", "--gen", "random-2value", "--n", "3",
+                   "--m", str(m), "--granularity", gran) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0].startswith("t,agent,") and len(rows) == 1 + 3 * steps
+    assert sorted({int(r.split(",")[0]) for r in rows[1:]}) == \
+        {"round": [3, 6], "final": [m] if m else [], "step": list(range(1, m + 1))}[gran]
+
+
 def test_config_errors_exit_one():
     assert run_cli("run", "--alg", "naive-matching", "--gen", "random-2value",
                    "--n", "3", "--m", "4", "--seed", "0") == EXIT_INPUT

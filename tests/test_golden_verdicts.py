@@ -8,12 +8,18 @@ rules ("round"), or between steps at least n apart ("far") -- and the
 (check, t) sequence its auditor reports on the faulty trace is compared with
 `fixtures/golden_verdicts.json`:
 
-* priority matching: `check_round_guarantees(trace, exchange=True)`;
-* naive matching: `check_alternation_guarantees(trace)`;
+* priority matching: `PriorityMatchingAuditor(exchange=True)`;
+* naive matching: `NaiveMatchingAuditor`;
 * deferred priority: `DeferredPriorityAuditor(share_bounds=True, strict=True)`;
-* `check_asymptotics` (lam = 1, 2) on the clean and swapped matching traces,
-  and on traces whose second half all goes to agent 1 ("hoard"), which break
-  its floors.
+* the long-run floors, `oracles.per_pair_asymptotics` (lam = 1, 2), on the
+  clean and swapped matching traces, and on traces whose second half all
+  goes to agent 1 ("hoard"), which break them.
+
+The replay checkers that perfbench's replay audit calls
+(`check_round_guarantees`, `check_structural_guarantees` and
+`check_level_set_condition`) are checked on swapped, hoarded and, for
+deferred priority, tampered-H traces against their slices of a fresh
+default audit.
 
 The adversary cases store the SHA-256 of `ef1_adversary`/`mms_adversary`
 runs (choices, per-step ratios, witness, notes) against the no-lookahead
@@ -30,18 +36,24 @@ import pytest
 
 from fairstream.adversaries import ef1_adversary, mms_adversary, worst_step_share_ratio
 from fairstream.baselines import GreedyWelfare, RoundRobin
-from fairstream.deferred_priority import DeferredPriority, DeferredPriorityAuditor
+from fairstream.deferred_priority import (DeferredPriority, DeferredPriorityAuditor,
+                                          check_level_set_condition,
+                                          check_structural_guarantees)
 from fairstream.driver import Trace, audit_trace, run_online
 from fairstream.generators import lows_then_highs, random_two_value
-from fairstream.matching import (NaiveMatching, PriorityMatching, check_alternation_guarantees,
-                                 check_asymptotics, check_round_guarantees)
+from fairstream.matching import (NaiveMatching, NaiveMatchingAuditor, PriorityMatching,
+                                 PriorityMatchingAuditor, check_round_guarantees)
 from golden import FIXTURES, expected, record, sha256
+from oracles import per_pair_asymptotics
 
 FIXTURE = FIXTURES / "golden_verdicts.json"
 
 SEEDS = (1, 2, 3, 4, 5, 6)
 SWAPS = ("round", "far")
 NO_LOOKAHEAD = (DeferredPriority, RoundRobin, GreedyWelfare)
+# the checks of a default deferred-priority audit other than `level-sets`
+STRUCTURAL = ("one-of-first-n", "high-frequency", "first-high-by-n-seen",
+              "overall-frequency", "phase-length", "H-positive")
 
 
 def swapped(trace, n, how, seed):
@@ -76,11 +88,12 @@ def _run(rule, n, seed):
 
 def _audit(rule, trace):
     if rule == "priority":
-        return check_round_guarantees(trace, exchange=True)
-    if rule == "naive":
-        return check_alternation_guarantees(trace)
-    return audit_trace(trace, DeferredPriorityAuditor(trace.instance, share_bounds=True,
-                                                       strict=True))
+        auditor = PriorityMatchingAuditor(trace.instance, exchange=True)
+    elif rule == "naive":
+        auditor = NaiveMatchingAuditor(trace.instance)
+    else:
+        auditor = DeferredPriorityAuditor(trace.instance, share_bounds=True, strict=True)
+    return audit_trace(trace, auditor)
 
 
 def _summary(violations):
@@ -109,8 +122,8 @@ def asymptotics(rule, n, how, seed):
         trace = swapped(trace, n, how, seed)
     out = {}
     for lam in (1, 2):
-        res = check_asymptotics(trace, lam, naive=rule == "naive")
-        out[f"lam{lam}"] = {"t_star": res.t_star, **_summary(res.violations)}
+        t_star, violations = per_pair_asymptotics(trace, lam, naive=rule == "naive")
+        out[f"lam{lam}"] = {"t_star": t_star, **_summary(violations)}
     return out
 
 
@@ -175,6 +188,55 @@ def test_faulty_traces_trip_every_auditor():
         assert any(res["count"] for k, v in golden.items()
                    if k.startswith(f"asymptotics-{rule}-") for res in v.values()), rule
 
+
+
+def tampered_h(trace, seed):
+    """The deferred-priority trace with the recorded H vector of one step
+    set to all ones (sorted, it breaks the level sets) and of a later step
+    given a zero (it breaks H-positivity too)."""
+    rng = random.Random(f"H:{seed}")
+    steps = list(trace.steps)
+    n = trace.instance.n
+    a = rng.randrange(len(steps) // 2)
+    b = rng.randrange(len(steps) // 2, len(steps))
+    steps[a] = dataclasses.replace(steps[a], extras={**steps[a].extras, "H": (1,) * n})
+    steps[b] = dataclasses.replace(steps[b], extras={**steps[b].extras,
+                                                     "H": (0,) + steps[b].extras["H"][1:]})
+    return Trace(trace.instance, steps)
+
+
+def _replay_cases():
+    for n in (2, 3, 4):
+        for seed in SEEDS[:3]:
+            for rule in ("priority", "deferred"):
+                trace = _run(rule, n, seed)
+                yield rule, hoarded(trace)
+                for how in SWAPS:
+                    yield rule, swapped(trace, n, how, seed)
+                if rule == "deferred":
+                    yield rule, tampered_h(trace, seed)
+
+
+def test_replay_checkers_are_slices_of_the_default_audit():
+    """Each replay checker returns its slice of a fresh default audit, in
+    order; the two deferred-priority checkers split that audit between them;
+    and each reports something on some faulty trace."""
+    found = Counter()
+    for rule, trace in _replay_cases():
+        if rule == "priority":
+            got = check_round_guarantees(trace)
+            assert got == audit_trace(trace, PriorityMatchingAuditor(trace.instance))
+            found["round"] += len(got)
+            continue
+        audit = audit_trace(trace, DeferredPriorityAuditor(trace.instance))
+        structural = check_structural_guarantees(trace)
+        level_sets = check_level_set_condition(trace)
+        assert structural == [v for v in audit if v.check in STRUCTURAL]
+        assert level_sets == [v for v in audit if v.check == "level-sets"]
+        assert len(structural) + len(level_sets) == len(audit)
+        found["structural"] += len(structural)
+        found["level-sets"] += len(level_sets)
+    assert all(found[k] for k in ("round", "structural", "level-sets")), found
 
 if __name__ == "__main__":
     record(FIXTURE, CASES, lambda case, _: compute(case), indent=1)

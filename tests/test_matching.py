@@ -6,15 +6,15 @@ import pytest
 
 import fairstream.matching as matching_module
 import fairstream.metrics as metrics_module
-from fairstream.driver import run_online, trace_csv_rows
+from fairstream.driver import audit_trace, run_online, trace_csv_rows
 from fairstream.generators import random_two_value
 from fairstream.matching import (CONTESTED_I, CONTESTED_II, Commitment, NaiveMatching,
-                                 PATTERN_TABLE, PriorityMatching, PriorityMatchingAuditor,
-                                 RoundPlan, aux_weight_matrix, check_alternation_guarantees,
-                                 check_asymptotics, check_round_guarantees,
-                                 naive_step, plan_round, priority_round_plan)
+                                 NaiveMatchingAuditor, PATTERN_TABLE, PriorityMatching,
+                                 PriorityMatchingAuditor, RoundPlan, aux_weight_matrix,
+                                 check_round_guarantees, naive_step, plan_round,
+                                 priority_round_plan)
 from fairstream.model import AgentProfile, AllocationState, GoodEvent, Instance
-from oracles import pattern_table_json
+from oracles import pattern_table_json, per_pair_asymptotics
 
 FIXTURE = Path(__file__).parent / "fixtures" / "pattern_table.json"
 
@@ -105,7 +105,7 @@ def test_naive_guarantees_on_random_streams(m):
     for seed in range(30):
         inst = random_two_value(2, m, seed, bias=0.45, foresight=1)
         trace = run_online(NaiveMatching(), inst)
-        assert check_alternation_guarantees(trace) == []
+        assert audit_trace(trace, NaiveMatchingAuditor(inst)) == []
 
 
 def test_naive_rejects_bad_config():
@@ -171,7 +171,7 @@ def test_priority_guarantees_on_random_streams(n):
     for seed in range(25):
         inst = random_two_value(n, 8 * n + (seed % n), seed, bias=0.35, foresight=n - 1)
         trace = run_online(PriorityMatching(), inst)
-        assert check_round_guarantees(trace, exchange=True) == []
+        assert audit_trace(trace, PriorityMatchingAuditor(inst, exchange=True)) == []
 
 
 def test_priority_requires_window():
@@ -241,19 +241,18 @@ def test_matching_trace_csv_columns():
 def test_asymptotics_on_long_streams(lam):
     inst = random_two_value(2, 600, seed=4, bias=0.4, foresight=1)
     trace = run_online(NaiveMatching(), inst)
-    res = check_asymptotics(trace, lam, naive=True)
-    assert res.t_star is not None
-    assert res.violations == []
+    t_star, violations = per_pair_asymptotics(trace, lam, naive=True)
+    assert t_star is not None
+    assert violations == []
     inst = random_two_value(3, 600, seed=4, bias=0.4, foresight=2)
     trace = run_online(PriorityMatching(), inst)
-    res = check_asymptotics(trace, lam)
-    assert res.t_star is not None
-    assert res.violations == []
+    t_star, violations = per_pair_asymptotics(trace, lam)
+    assert t_star is not None
+    assert violations == []
 
 
 def test_asymptotics_reports_unreached_premise():
     inst = random_two_value(2, 4, seed=0, bias=0.0, foresight=1,
                             profiles=[(90, 1), (90, 1)])
     trace = run_online(NaiveMatching(), inst)
-    res = check_asymptotics(trace, 1, naive=True)
-    assert res.t_star is None and res.violations == []
+    assert per_pair_asymptotics(trace, 1, naive=True) == (None, [])

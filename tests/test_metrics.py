@@ -767,7 +767,7 @@ def test_ledger_maximum_rescans_when_its_argmax_drops_by_rounding():
         _assert_maxima_direct(state.pairwise())
 
 
-def test_efk_holds_keeps_the_float_tolerance():
+def test_efk_failures_keep_the_float_tolerance():
     """Agent 1 holds one good worth 0.3; agent 2's bundle minus its best is
     0.1 + 0.1 + 0.1, one rounding above 0.3.  Within 1e-9 that is EF1."""
     inst = Instance(agents=[AgentProfile(0.3, 0.1), AgentProfile(1, 1)],
@@ -777,22 +777,23 @@ def test_efk_holds_keeps_the_float_tolerance():
         state.assign(g, owner)
     tr = state.pairwise()
     assert tr.removable_value(1, 2, 1) > tr.val[1][1]
-    assert tr.is_efk(1, 2, 1) and tr.efk_holds(1, 1)
+    assert tr.is_efk(1, 2, 1)
     assert tr.efk_failures(1) == []
 
 
-def _efk_failures_by_holds(tr, k, num, den):
-    """`efk_failures` as one `efk_holds` call per viewer, then a scan over j."""
-    return [(i, j) for i in range(1, tr.n + 1) if not tr.efk_holds(i, k, num, den)
-            for j in range(1, tr.n + 1) if j != i and not tr.is_efk(i, j, k, num, den)]
+def _efk_failures_per_pair(tr, k, num, den):
+    """`efk_failures` as an `is_efk` test of every ordered pair."""
+    return [(i, j) for i in range(1, tr.n + 1) for j in range(1, tr.n + 1)
+            if j != i and not tr.is_efk(i, j, k, num, den)]
 
 
 @pytest.mark.parametrize("kind", ["int", "float", "interval"])
-def test_efk_failures_equal_one_efk_holds_call_per_viewer(kind):
-    """The one-pass `efk_failures` returns the pairs of the per-viewer
-    `efk_holds` test, in the same order, for k = 0, 1, 2 and the ratios 1
-    and 1/2, on streams whose bundles grow unevenly enough that every
-    (k, ratio) fails somewhere."""
+def test_efk_failures_equal_a_per_pair_scan(kind):
+    """The one-pass `efk_failures`, which scans only the viewers whose
+    largest removable value fails, returns the pairs of a per-pair `is_efk`
+    scan, in the same order, for k = 0, 1, 2 and the ratios 1 and 1/2, on
+    streams whose bundles grow unevenly enough that every (k, ratio) fails
+    somewhere."""
     cases = [(k, num, den) for k in range(3) for num, den in ((1, 1), (1, 2))]
     failing = dict.fromkeys(cases, 0)
     for n in (2, 3, 5):
@@ -810,7 +811,7 @@ def test_efk_failures_equal_one_efk_holds_call_per_viewer(kind):
                 tr = state.pairwise()
                 for case in cases:
                     got = tr.efk_failures(*case)
-                    assert got == _efk_failures_by_holds(tr, *case), (state.t, case)
+                    assert got == _efk_failures_per_pair(tr, *case), (state.t, case)
                     failing[case] += len(got)
     assert all(failing.values()), failing
 
